@@ -77,6 +77,24 @@ fn bench_treewidth(c: &mut Criterion) {
             ))
         })
     });
+    // The primal graph of the DNF lineage of R(x), S(x, y) over 200 x-values
+    // with 4 partners each: the top OR gate is a degree-800 hub, the shape
+    // where recounting fill per round was quadratic in the hub's degree.
+    let hub = {
+        let (q, schema) = query::families::two_atom_hierarchical();
+        let (r, s) = (schema.by_name("R").unwrap(), schema.by_name("S").unwrap());
+        let mut db = query::Database::new(schema);
+        for x in 1..=200 {
+            db.insert(r, vec![x], 0.5);
+            for y in 1..=4 {
+                db.insert(s, vec![x, y], 0.5);
+            }
+        }
+        query::lineage_circuit(&q, &db).primal_graph().0
+    };
+    g.bench_function("minfill_hub800", |b| {
+        b.iter(|| black_box(graphtw::min_fill_order(&hub).len()))
+    });
     g.finish();
 }
 

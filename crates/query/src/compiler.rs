@@ -247,6 +247,22 @@ mod tests {
     }
 
     #[test]
+    fn unique_table_probes_stay_near_the_lookup_floor() {
+        // Deterministic counters on a fixed apply-bound compile: uh(1) over
+        // the complete 4×4 database interns ~10⁵ decisions that differ
+        // mostly in their primes, which the unique table's slot function
+        // must spread (indexing by the hash's low bits alone took ~210
+        // probes per insert here).
+        let (q, schema) = families::uh(1);
+        let db = families::uh_complete_db(&schema, 1, 4, 0.5);
+        let ans = QueryCompiler::new().probability(&q, &db).unwrap();
+        let apply = ans.report.unwrap().apply;
+        assert!(apply.unique_inserts > 0);
+        let per_insert = apply.unique_probes as f64 / apply.unique_inserts as f64;
+        assert!(per_insert <= 32.0, "{per_insert:.1} probes per insert");
+    }
+
+    #[test]
     fn empty_database_short_circuits() {
         let (q, schema) = families::two_atom_hierarchical();
         let db = Database::new(schema);

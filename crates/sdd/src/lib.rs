@@ -252,6 +252,29 @@ impl UniqueTable {
             len: 0,
         }
     }
+
+    /// Home slot of a decision hash in a table of `mask + 1` slots — the
+    /// one slot function of every probe, growth and snapshot rebuild. The
+    /// hash ends in an FxHash multiply, and the low bits of a product see
+    /// only the low bits of its factors: the last element's sub id, not its
+    /// prime id in the word's high half. So `hash & mask` piles decisions
+    /// that differ in their primes into one cluster; folding the hash's
+    /// high half in spreads them.
+    #[inline]
+    fn slot(hash: u64, mask: usize) -> usize {
+        ((hash ^ (hash >> 32)) as usize) & mask
+    }
+
+    /// Put an entry known to be absent into the first free slot from its
+    /// home (table growth and snapshot rebuild; the table never fills).
+    fn place(slots: &mut [(u64, u32)], hash: u64, id: u32) {
+        let mask = slots.len() - 1;
+        let mut i = Self::slot(hash, mask);
+        while slots[i].1 != EMPTY_SLOT {
+            i = (i + 1) & mask;
+        }
+        slots[i] = (hash, id);
+    }
 }
 
 /// Fibonacci multiplier for integer-key slot indexing (the golden-ratio
@@ -818,7 +841,7 @@ impl SddManager {
         compressed.sort_unstable_by_key(|&(p, _)| p);
         let hash = decision_hash(vnode, compressed);
         let mask = self.unique.slots.len() - 1;
-        let mut i = (hash as usize) & mask;
+        let mut i = UniqueTable::slot(hash, mask);
         loop {
             self.stats.unique_probes += 1;
             let (slot_hash, slot_id) = self.unique.slots[i];
@@ -862,16 +885,10 @@ impl SddManager {
     fn grow_unique(&mut self) {
         let new_cap = self.unique.slots.len() * 2;
         let mut slots = vec![(0u64, EMPTY_SLOT); new_cap].into_boxed_slice();
-        let mask = new_cap - 1;
         for &(h, id) in self.unique.slots.iter() {
-            if id == EMPTY_SLOT {
-                continue;
+            if id != EMPTY_SLOT {
+                UniqueTable::place(&mut slots, h, id);
             }
-            let mut i = (h as usize) & mask;
-            while slots[i].1 != EMPTY_SLOT {
-                i = (i + 1) & mask;
-            }
-            slots[i] = (h, id);
         }
         self.unique.slots = slots;
     }

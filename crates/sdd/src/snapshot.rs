@@ -305,17 +305,12 @@ impl FrozenSdd {
         // breaks canonicity for future branches.
         let capacity = (decisions * 2).next_power_of_two().max(16);
         let mut slots = vec![(0u64, EMPTY_SLOT); capacity].into_boxed_slice();
-        let mask = capacity - 1;
         for (id, n) in nodes.iter().enumerate() {
             let SddNode::Decision { vnode, elems } = n else {
                 continue;
             };
             let hash = decision_hash(*vnode, &arena[elems.start as usize..elems.end as usize]);
-            let mut i = (hash as usize) & mask;
-            while slots[i].1 != EMPTY_SLOT {
-                i = (i + 1) & mask;
-            }
-            slots[i] = (hash, id as u32);
+            UniqueTable::place(&mut slots, hash, id as u32);
         }
 
         Ok(FrozenSdd {
