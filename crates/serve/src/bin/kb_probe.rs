@@ -34,6 +34,11 @@ struct Conn {
 impl Conn {
     fn open(addr: &str) -> Result<(Conn, String), String> {
         let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+        // Each line is flushed on its own; with Nagle on, a pipelined line
+        // would wait for the server's ACK of the one before.
+        stream
+            .set_nodelay(true)
+            .map_err(|e| format!("{addr}: {e}"))?;
         let reader = stream.try_clone().map_err(|e| format!("{addr}: {e}"))?;
         let mut conn = Conn {
             input: BufReader::new(reader),

@@ -28,6 +28,18 @@
 //! own conversation with a private sequence space over the shared shard
 //! pool, so two clients' jobs interleave in the shard queues and coalesce
 //! when the window is open. `quit` from any client stops the server.
+//! `--listen` reports the address it bound (`--listen 127.0.0.1:0` picks a
+//! free port) on stderr as `kb-server: listening on ADDR …`.
+//!
+//! A conversation is two threads: one reads and submits requests, the
+//! other writes each answer the moment its shard finishes it — a lone
+//! request is answered without any follow-up line. The writer takes every
+//! reply already queued and sends them as one buffer, so a pipelined burst
+//! leaves in one `write`; every accepted socket runs with `TCP_NODELAY`,
+//! so that write is not held back waiting for the client's ACK. Stdin mode
+//! runs the same two threads. A request line is capped at
+//! [`MAX_LINE_BYTES`]; a longer one is answered `err line too long …` and
+//! skipped, and the connection serves on.
 //!
 //! Every conversation opens with a versioned banner so clients can check
 //! compatibility before sending anything:
@@ -37,11 +49,15 @@
 //! ```
 //!
 //! Protocol (one request per line; answers are `<seq> ok …` / `<seq> err …`
-//! and may arrive out of order — `sync` flushes, `stats` prints per-shard
-//! counters plus an `all …` merged line, `metrics` dumps the pool-wide
-//! telemetry in Prometheus text format, `slow` / `trace <id>` inspect the
-//! slow-query log as single-line JSON, `save <id> <path>` persists a
-//! base's frozen state as a snapshot, `quit` exits):
+//! and may arrive out of order — `sync` is a barrier: `synced` follows
+//! every answer to an earlier request and precedes every later one;
+//! `stats` prints per-shard counters plus an `all …` merged line, and
+//! `metrics` dumps the pool-wide telemetry in Prometheus text format, both
+//! behind the same barrier so they count every earlier request; `slow` /
+//! `trace <id>` inspect the slow-query log as single-line JSON, `save <id>
+//! <path>` persists a base's frozen state as a snapshot; `quit` stops the
+//! server and EOF ends the conversation, each after writing every
+//! outstanding answer):
 //!
 //! ```text
 //! kb <id> marginal <var> | marginals | mpe | top <k> | query <lit>… |
@@ -62,8 +78,12 @@
 use kb::{FrozenKb, KnowledgeBase};
 use obs::{MetricsRegistry, MetricsSnapshot};
 use sentential_core::Compiler;
-use serve::{parse_request, ClientHandle, KbServer, Request, PROTOCOL_VERSION};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use serve::{
+    parse_request, ClientHandle, KbServer, ProtocolError, Reply, Request, ShardStats,
+    MAX_LINE_BYTES, PROTOCOL_VERSION,
+};
+use std::collections::VecDeque;
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
@@ -118,93 +138,192 @@ fn save_kb(kbs: &[Arc<FrozenKb>], kb: usize, path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// One protocol conversation: read lines from `input`, write responses to
-/// `output`. Returns `false` when the client asked the server to quit.
-/// Each conversation runs over its own [`ClientHandle`], so concurrent
-/// connections have private sequence spaces and never steal each other's
-/// answers.
+/// What one read from a conversation's input produced.
+enum Input {
+    /// A request line is in the buffer.
+    Line,
+    /// The line ran past [`MAX_LINE_BYTES`]; it was skipped through its
+    /// newline, so the next read starts on the next request.
+    TooLong,
+    /// End of input.
+    Eof,
+}
+
+/// Read the next request line into `buf`, holding at most
+/// [`MAX_LINE_BYTES`] of it (plus the newline).
+fn read_request_line(input: &mut dyn BufRead, buf: &mut Vec<u8>) -> std::io::Result<Input> {
+    buf.clear();
+    let n = Read::take(&mut *input, MAX_LINE_BYTES as u64 + 1).read_until(b'\n', buf)?;
+    if n == 0 {
+        return Ok(Input::Eof);
+    }
+    if buf.last() == Some(&b'\n') || n <= MAX_LINE_BYTES {
+        return Ok(Input::Line);
+    }
+    input.skip_until(b'\n')?;
+    Ok(Input::TooLong)
+}
+
+/// One protocol conversation: read requests from `input` on this thread
+/// while a writer thread streams the replies to `output`. Returns `false`
+/// when the client asked the server to quit. Each conversation runs over
+/// its own [`ClientHandle`], so concurrent connections have private
+/// sequence spaces and never steal each other's answers. On `quit` or EOF
+/// every outstanding answer is written before this returns.
 fn converse(
-    server: &mut ClientHandle,
+    mut client: ClientHandle,
     kbs: &[Arc<FrozenKb>],
     boot: &MetricsSnapshot,
     input: &mut dyn BufRead,
-    output: &mut dyn Write,
+    output: &mut (dyn Write + Send),
 ) -> std::io::Result<bool> {
-    writeln!(
-        output,
-        "hello kb-server protocol {PROTOCOL_VERSION} snap {} obs {}",
-        snap::FORMAT_VERSION,
-        obs::OBS_VERSION
-    )?;
-    let mut line = String::new();
+    let (notes, replies) = client.take_replies();
+    std::thread::scope(|s| {
+        let writer = s.spawn(move || write_replies(&replies, output));
+        let served = read_requests(&mut client, &notes, kbs, boot, input);
+        // Hang up: the reply channel disconnects once the answers still in
+        // flight are in, and the writer returns after writing them.
+        drop(client);
+        drop(notes);
+        let written = writer.join().expect("reply writer panicked");
+        let keep_serving = served?;
+        written?;
+        Ok(keep_serving)
+    })
+}
+
+/// The reading half of a conversation: parse each line, submit queries to
+/// the shards and queue every front-end line on the writer's channel.
+/// `sync`, `stats` and `metrics` are barriers behind the requests read
+/// before them.
+fn read_requests(
+    client: &mut ClientHandle,
+    notes: &mpsc::Sender<Reply>,
+    kbs: &[Arc<FrozenKb>],
+    boot: &MetricsSnapshot,
+    input: &mut dyn BufRead,
+) -> std::io::Result<bool> {
+    // A failed send means the writer is gone (the client hung up); reading
+    // on until EOF is all that is left to do.
+    let note = |after: u64, text: String| {
+        let _ = notes.send(Reply::Note { after, text });
+    };
+    note(
+        0,
+        format!(
+            "hello kb-server protocol {PROTOCOL_VERSION} snap {} obs {}\n",
+            snap::FORMAT_VERSION,
+            obs::OBS_VERSION
+        ),
+    );
+    // Requests submitted so far. Seqs are handed out 0, 1, 2, …, so a
+    // barrier at `submitted` follows exactly the earlier requests' answers.
+    let mut submitted = 0u64;
+    let mut line = Vec::new();
     loop {
-        // Print whatever the shards finished while we were reading.
-        for (seq, resp) in server.try_drain() {
-            writeln!(output, "{seq} {resp}")?;
-        }
-        output.flush()?;
-        line.clear();
-        if input.read_line(&mut line)? == 0 {
-            break; // EOF: flush and return
-        }
-        match parse_request(&line) {
+        let request = match read_request_line(input, &mut line)? {
+            Input::Eof => return Ok(true),
+            Input::TooLong => Err(ProtocolError::LineTooLong),
+            Input::Line => parse_request(&String::from_utf8_lossy(&line)),
+        };
+        match request {
             Ok(None) => {}
-            Ok(Some(Request::Quit)) => {
-                for (seq, resp) in server.sync() {
-                    writeln!(output, "{seq} {resp}")?;
-                }
-                output.flush()?;
-                return Ok(false);
-            }
-            Ok(Some(Request::Sync)) => {
-                for (seq, resp) in server.sync() {
-                    writeln!(output, "{seq} {resp}")?;
-                }
-                writeln!(output, "synced")?;
-            }
+            Ok(Some(Request::Quit)) => return Ok(false),
+            Ok(Some(Request::Sync)) => note(submitted, "synced\n".into()),
             Ok(Some(Request::Stats)) => {
-                let stats = server.stats();
+                let stats = client.shard_stats();
+                let mut text = String::new();
                 for s in &stats {
-                    writeln!(output, "{}", s.render())?;
+                    text.push_str(&s.render());
+                    text.push('\n');
                 }
-                writeln!(output, "{}", serve::ShardStats::render_merged(&stats))?;
+                text.push_str(&ShardStats::render_merged(&stats));
+                text.push('\n');
+                note(submitted, text);
             }
-            Ok(Some(Request::Metrics)) => {
-                write!(output, "{}", server.metrics_text(Some(boot)))?;
-            }
+            Ok(Some(Request::Metrics)) => note(submitted, client.metrics_text(Some(boot))),
             Ok(Some(Request::Slow)) => {
-                let worst = server.slow_traces();
+                let worst = client.slow_traces();
+                let mut text = String::new();
                 if worst.is_empty() {
-                    writeln!(output, "slow-log empty")?;
+                    text.push_str("slow-log empty\n");
                 }
                 for t in worst {
-                    writeln!(output, "{}", t.to_json())?;
+                    text.push_str(&t.to_json());
+                    text.push('\n');
                 }
+                note(0, text);
             }
-            Ok(Some(Request::Trace(id))) => match server.trace(id) {
-                Some(t) => writeln!(output, "{}", t.to_json())?,
-                None => writeln!(output, "err trace {id} not retained")?,
+            Ok(Some(Request::Trace(id))) => note(
+                0,
+                match client.trace(id) {
+                    Some(t) => format!("{}\n", t.to_json()),
+                    None => format!("err trace {id} not retained\n"),
+                },
+            ),
+            Ok(Some(Request::Save { kb, path })) => note(
+                0,
+                match save_kb(kbs, kb, &path) {
+                    Ok(()) => format!("saved {path}\n"),
+                    Err(e) => format!("err {e}\n"),
+                },
+            ),
+            Ok(Some(Request::Query { kb, cmd })) => match client.submit(kb, cmd) {
+                Ok(seq) => submitted = seq + 1,
+                Err(e) => note(0, format!("err {e}\n")),
             },
-            Ok(Some(Request::Save { kb, path })) => match save_kb(kbs, kb, &path) {
-                Ok(()) => writeln!(output, "saved {path}")?,
-                Err(e) => writeln!(output, "err {e}")?,
+            Ok(Some(Request::Batch { kb, cmds })) => match client.submit_batch(kb, cmds) {
+                Ok(seq) => submitted = seq + 1,
+                Err(e) => note(0, format!("err {e}\n")),
             },
-            Ok(Some(Request::Query { kb, cmd })) => match server.submit(kb, cmd) {
-                Ok(_) => {}
-                Err(e) => writeln!(output, "err {e}")?,
-            },
-            Ok(Some(Request::Batch { kb, cmds })) => match server.submit_batch(kb, cmds) {
-                Ok(_) => {}
-                Err(e) => writeln!(output, "err {e}")?,
-            },
-            Err(e) => writeln!(output, "err {e}")?,
+            Err(e) => note(0, format!("err {e}\n")),
         }
     }
-    for (seq, resp) in server.sync() {
-        writeln!(output, "{seq} {resp}")?;
+}
+
+/// The writing half of a conversation. Blocks on the reply channel, takes
+/// every reply already queued behind the one that woke it, and writes the
+/// lot as one buffer (`<seq> <answer>` lines and front-end notes) with one
+/// flush — a pipelined burst leaves as one `write`. A note waits until
+/// every answer below its barrier is written, and answers at or past the
+/// barrier wait behind the note. Returns when the channel disconnects.
+fn write_replies(replies: &mpsc::Receiver<Reply>, out: &mut dyn Write) -> std::io::Result<()> {
+    let mut buf = Vec::new();
+    let mut written = 0u64;
+    // Notes whose barrier is not reached yet, in arrival order.
+    let mut notes: VecDeque<(u64, String)> = VecDeque::new();
+    // Answers received but not yet admitted by the front note's barrier.
+    let mut held: Vec<(u64, String)> = Vec::new();
+    while let Ok(first) = replies.recv() {
+        let mut next = Some(first);
+        while let Some(reply) = next {
+            match reply {
+                Reply::Answer(seq, line) => held.push((seq, line)),
+                Reply::Note { after, text } => notes.push_back((after, text)),
+            }
+            loop {
+                let limit = notes.front().map_or(u64::MAX, |&(after, _)| after);
+                for (seq, line) in held.extract_if(.., |(seq, _)| *seq < limit) {
+                    writeln!(buf, "{seq} {line}")?;
+                    written += 1;
+                }
+                // Answers below a barrier are the only ones written while
+                // it waits, so counting them tells when it is reached.
+                match notes.front() {
+                    Some(&(after, _)) if written >= after => {
+                        let (_, text) = notes.pop_front().expect("front note");
+                        buf.extend_from_slice(text.as_bytes());
+                    }
+                    _ => break,
+                }
+            }
+            next = replies.try_recv().ok();
+        }
+        out.write_all(&buf)?;
+        out.flush()?;
+        buf.clear();
     }
-    output.flush()?;
-    Ok(true)
+    Ok(())
 }
 
 fn main() {
@@ -255,11 +374,10 @@ fn main() {
         }
     }
     let base = kbs.len();
-    for r in 1..replicas {
+    for _ in 1..replicas {
         for i in 0..base {
             kbs.push(Arc::clone(&kbs[i]));
         }
-        let _ = r;
     }
     for (i, kb) in kbs.iter().enumerate() {
         eprintln!(
@@ -291,12 +409,15 @@ fn main() {
     let server = KbServer::with_batch_window(kbs, shards, batch_window);
     match listen {
         None => {
-            let mut handle = server.client();
-            let stdin = std::io::stdin();
-            let stdout = std::io::stdout();
-            let mut input = stdin.lock();
-            let mut output = BufWriter::new(stdout.lock());
-            if let Err(e) = converse(&mut handle, &kbs_for_save, &boot, &mut input, &mut output) {
+            let mut input = std::io::stdin().lock();
+            let mut output = std::io::stdout();
+            if let Err(e) = converse(
+                server.client(),
+                &kbs_for_save,
+                &boot,
+                &mut input,
+                &mut output,
+            ) {
                 eprintln!("kb-server: {e}");
             }
         }
@@ -308,8 +429,17 @@ fn main() {
                     std::process::exit(1);
                 }
             };
+            // The bound address, not the argument: `--listen 127.0.0.1:0`
+            // picks a free port and this line is how a caller learns it.
+            let bound = match listener.local_addr() {
+                Ok(a) => a,
+                Err(e) => {
+                    eprintln!("kb-server: {addr}: {e}");
+                    std::process::exit(1);
+                }
+            };
             eprintln!(
-                "kb-server: listening on {addr} (batch window {} us)",
+                "kb-server: listening on {bound} (batch window {} us)",
                 batch_window.as_micros()
             );
             // Connections are served concurrently over one shard pool:
@@ -324,7 +454,13 @@ fn main() {
                     match conn {
                         Ok(stream) => {
                             let peer = stream.peer_addr().ok();
-                            let mut handle = accept_client.fork();
+                            // Replies leave as soon as they are written:
+                            // with Nagle on, a reply split over two writes
+                            // waits for the client's (delayed) ACK.
+                            if let Err(e) = stream.set_nodelay(true) {
+                                eprintln!("kb-server: {peer:?}: {e}");
+                            }
+                            let handle = accept_client.fork();
                             let kbs = Arc::clone(&kbs_for_save);
                             let boot = Arc::clone(&boot);
                             let quit = quit_tx.clone();
@@ -336,8 +472,8 @@ fn main() {
                                         return;
                                     }
                                 });
-                                let mut output = BufWriter::new(stream);
-                                match converse(&mut handle, &kbs, &boot, &mut input, &mut output) {
+                                let mut output = stream;
+                                match converse(handle, &kbs, &boot, &mut input, &mut output) {
                                     Ok(true) => eprintln!("kb-server: {peer:?} disconnected"),
                                     Ok(false) => {
                                         let _ = quit.send(());

@@ -51,6 +51,11 @@ pub const MAX_COALESCE_LANES: usize = 64;
 /// Traces retained per server in the slow-query log (the N worst).
 pub const SLOW_LOG_CAPACITY: usize = 32;
 
+/// Longest request line a front-end accepts, newline excluded. A 64-query
+/// `batch` line is ~2 KB; anything past this cap is answered with
+/// [`ProtocolError::LineTooLong`] and skipped through its newline.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// Why one protocol line was rejected. [`parse_request`] returns this
 /// instead of a bare string so front-ends can react to *what* went wrong
 /// (and tests can assert it); its [`fmt::Display`] is the wire rendering.
@@ -77,6 +82,8 @@ pub enum ProtocolError {
     MissingArgument(&'static str),
     /// The line as a whole fit no request shape.
     Unparseable(String),
+    /// The line ran past [`MAX_LINE_BYTES`] before its newline.
+    LineTooLong,
 }
 
 impl fmt::Display for ProtocolError {
@@ -101,6 +108,9 @@ impl fmt::Display for ProtocolError {
                 write!(f, "missing argument (want {want})")
             }
             ProtocolError::Unparseable(t) => write!(f, "unparseable request {t:?}"),
+            ProtocolError::LineTooLong => {
+                write!(f, "line too long (limit {MAX_LINE_BYTES} bytes)")
+            }
         }
     }
 }
@@ -161,7 +171,8 @@ pub enum Request {
     Slow,
     /// `trace <id>` — one retained trace by id, as single-line JSON.
     Trace(u64),
-    /// `sync` — drain all outstanding responses.
+    /// `sync` — a barrier: `synced` follows every answer to an earlier
+    /// request.
     Sync,
     /// `quit` — shut the server down.
     Quit,
@@ -369,6 +380,22 @@ impl ShardStats {
     }
 }
 
+/// One message on a client's reply channel. Shards only ever send
+/// [`Reply::Answer`]; a front-end that took the channel over
+/// ([`ClientHandle::take_replies`]) queues its own output on it as
+/// [`Reply::Note`]s, so one writer sees answers and front-end lines in the
+/// order they became due.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Reply {
+    /// The answer to request `seq`, rendered `ok …` / `err …`.
+    Answer(u64, String),
+    /// Front-end output (whole lines, newlines included) that belongs
+    /// after every answer with a sequence number below `after` and before
+    /// any other: `after = 0` is "at once", `after = n` a barrier behind
+    /// the first `n` requests (`synced`, `stats`, `metrics`).
+    Note { after: u64, text: String },
+}
+
 enum Job {
     Run {
         seq: u64,
@@ -381,7 +408,7 @@ enum Job {
         /// channel, so concurrent conversations never see each other's
         /// responses — and a coalesced group fans its per-lane answers back
         /// to each member's own client.
-        reply: mpsc::Sender<(u64, String)>,
+        reply: mpsc::Sender<Reply>,
     },
     /// A `batch` request: N sub-commands against one base, answered as a
     /// single response block by the owning shard.
@@ -390,7 +417,7 @@ enum Job {
         kb: usize,
         cmds: Vec<Command>,
         submitted: Instant,
-        reply: mpsc::Sender<(u64, String)>,
+        reply: mpsc::Sender<Reply>,
     },
     Stats {
         reply: mpsc::Sender<ShardStats>,
@@ -408,7 +435,7 @@ struct Pending {
     kb: usize,
     cmd: Command,
     submitted: Instant,
-    reply: mpsc::Sender<(u64, String)>,
+    reply: mpsc::Sender<Reply>,
 }
 
 /// One shard-owned session slot, with what the coalescer needs to prove
@@ -482,7 +509,7 @@ fn run_single(slots: &mut [ShardSlot], stats: &mut ShardStats, shard: usize, p: 
         }
         None => format!("err kb {} is not on shard {shard}", p.kb),
     };
-    let _ = p.reply.send((p.seq, line));
+    let _ = p.reply.send(Reply::Answer(p.seq, line));
 }
 
 /// Answer a coalesced group (width ≥ 2) on the leader's session, fanning
@@ -505,9 +532,10 @@ fn answer_group(
     let leader_kb = group[0].kb;
     let Some(slot) = slots.iter_mut().find(|t| t.id == leader_kb) else {
         for p in group {
-            let _ = p
-                .reply
-                .send((p.seq, format!("err kb {} is not on shard {shard}", p.kb)));
+            let _ = p.reply.send(Reply::Answer(
+                p.seq,
+                format!("err kb {} is not on shard {shard}", p.kb),
+            ));
         }
         return;
     };
@@ -528,14 +556,14 @@ fn answer_group(
                 Ok(v) => format!("ok {v}"),
                 Err(e) => format!("err {e}"),
             };
-            let _ = p.reply.send((p.seq, line));
+            let _ = p.reply.send(Reply::Answer(p.seq, line));
         }
     } else {
         for p in group {
             let line = answer(&mut slot.session, &p.cmd);
             stats.served += 1;
             observe_query(stats, &slot.session.last_query());
-            let _ = p.reply.send((p.seq, line));
+            let _ = p.reply.send(Reply::Answer(p.seq, line));
         }
     }
 }
@@ -741,7 +769,7 @@ impl KbServer {
                                 }
                                 None => format!("err kb {kb} is not on shard {shard}"),
                             };
-                            let _ = reply.send((seq, line));
+                            let _ = reply.send(Reply::Answer(seq, line));
                         }
                         Job::Stats { reply } => {
                             let _ = reply.send(stats.clone());
@@ -759,7 +787,7 @@ impl KbServer {
                 txs,
                 route: Arc::new(route),
                 reply_tx,
-                collect,
+                collect: Some(collect),
                 next_seq: 0,
                 outstanding: 0,
                 shard_metrics: Arc::new(shard_metrics),
@@ -810,11 +838,6 @@ impl KbServer {
     /// Block for the next response (any shard, any order).
     pub fn recv(&mut self) -> Option<(u64, String)> {
         self.client.recv()
-    }
-
-    /// Responses that are already available, without blocking.
-    pub fn try_drain(&mut self) -> Vec<(u64, String)> {
-        self.client.try_drain()
     }
 
     /// Drain every outstanding response, returned in sequence order.
@@ -874,8 +897,10 @@ pub struct ClientHandle {
     /// kb id → shard (deterministic, so session state stays coherent).
     route: Arc<Vec<usize>>,
     /// Sender side of this handle's reply channel, cloned into every job.
-    reply_tx: mpsc::Sender<(u64, String)>,
-    collect: mpsc::Receiver<(u64, String)>,
+    reply_tx: mpsc::Sender<Reply>,
+    /// Where this handle collects its answers; `None` once a front-end
+    /// took the channel over ([`ClientHandle::take_replies`]).
+    collect: Option<mpsc::Receiver<Reply>>,
     next_seq: u64,
     outstanding: u64,
     /// One registry per shard — sessions record lock-free into their
@@ -895,7 +920,7 @@ impl ClientHandle {
             txs: self.txs.clone(),
             route: Arc::clone(&self.route),
             reply_tx,
-            collect,
+            collect: Some(collect),
             next_seq: 0,
             outstanding: 0,
             shard_metrics: Arc::clone(&self.shard_metrics),
@@ -917,43 +942,44 @@ impl ClientHandle {
     /// handle). The call only enqueues — collect the answer with
     /// [`ClientHandle::recv`] or [`ClientHandle::sync`].
     pub fn submit(&mut self, kb: usize, cmd: Command) -> Result<u64, String> {
-        let &shard = self
-            .route
-            .get(kb)
-            .ok_or_else(|| format!("kb {kb} not loaded ({} available)", self.route.len()))?;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.outstanding += 1;
-        self.txs[shard]
-            .send(Job::Run {
-                seq,
-                kb,
-                cmd,
-                submitted: Instant::now(),
-                reply: self.reply_tx.clone(),
-            })
-            .map_err(|_| format!("shard {shard} is gone"))?;
-        Ok(seq)
+        self.enqueue(kb, |seq, reply| Job::Run {
+            seq,
+            kb,
+            cmd,
+            submitted: Instant::now(),
+            reply,
+        })
     }
 
     /// Submit a `batch` request (see [`KbServer::submit_batch`]).
     pub fn submit_batch(&mut self, kb: usize, cmds: Vec<Command>) -> Result<u64, String> {
+        self.enqueue(kb, |seq, reply| Job::RunBatch {
+            seq,
+            kb,
+            cmds,
+            submitted: Instant::now(),
+            reply,
+        })
+    }
+
+    /// Route a job for base `kb` to its shard under the next seq.
+    fn enqueue(
+        &mut self,
+        kb: usize,
+        job: impl FnOnce(u64, mpsc::Sender<Reply>) -> Job,
+    ) -> Result<u64, String> {
         let &shard = self
             .route
             .get(kb)
             .ok_or_else(|| format!("kb {kb} not loaded ({} available)", self.route.len()))?;
         let seq = self.next_seq;
+        self.txs[shard]
+            .send(job(seq, self.reply_tx.clone()))
+            .map_err(|_| format!("shard {shard} is gone"))?;
+        // Only a delivered job takes a seq: every seq below `next_seq`
+        // gets exactly one answer, which is what a barrier counts on.
         self.next_seq += 1;
         self.outstanding += 1;
-        self.txs[shard]
-            .send(Job::RunBatch {
-                seq,
-                kb,
-                cmds,
-                submitted: Instant::now(),
-                reply: self.reply_tx.clone(),
-            })
-            .map_err(|_| format!("shard {shard} is gone"))?;
         Ok(seq)
     }
 
@@ -967,26 +993,30 @@ impl ClientHandle {
         if self.outstanding == 0 {
             return None;
         }
-        let r = self.collect.recv().ok();
-        if r.is_some() {
-            self.outstanding -= 1;
+        match self.collect.as_ref()?.recv() {
+            Ok(Reply::Answer(seq, line)) => {
+                self.outstanding -= 1;
+                Some((seq, line))
+            }
+            // Notes only travel on a channel a front-end took over.
+            Ok(Reply::Note { .. }) | Err(_) => None,
         }
-        r
     }
 
-    /// Responses that are already available, without blocking.
-    pub fn try_drain(&mut self) -> Vec<(u64, String)> {
-        let mut out = Vec::new();
-        while self.outstanding > 0 {
-            match self.collect.try_recv() {
-                Ok(r) => {
-                    self.outstanding -= 1;
-                    out.push(r);
-                }
-                Err(_) => break,
-            }
-        }
-        out
+    /// Hand this handle's reply channel to another thread — a connection's
+    /// writer. Returns a sender for the front-end's own [`Reply::Note`]s
+    /// and the receiver every answer to this handle's requests arrives on.
+    /// The handle keeps submitting; `recv` and `sync` return nothing from
+    /// then on, so `stats` and `metrics_text` no longer wait for answers
+    /// (their shard round-trip still queues behind every earlier job, see
+    /// [`ClientHandle::shard_stats`]). The channel disconnects once the
+    /// handle, the returned sender and every in-flight job are gone.
+    ///
+    /// # Panics
+    /// If the channel was already taken.
+    pub fn take_replies(&mut self) -> (mpsc::Sender<Reply>, mpsc::Receiver<Reply>) {
+        let collect = self.collect.take().expect("reply channel already taken");
+        (self.reply_tx.clone(), collect)
     }
 
     /// Drain every outstanding response, returned in sequence order.
@@ -1004,6 +1034,14 @@ impl ClientHandle {
     /// in-flight work is counted whenever their jobs finish).
     pub fn stats(&mut self) -> Vec<ShardStats> {
         let _ = self.sync();
+        self.shard_stats()
+    }
+
+    /// Per-shard counters without draining: each shard answers after the
+    /// jobs already in its queue, so the counters still cover every job
+    /// this handle submitted before the call — only its answers may not
+    /// have been collected yet.
+    pub fn shard_stats(&self) -> Vec<ShardStats> {
         let (tx, rx) = mpsc::channel();
         let mut n = 0;
         for shard_tx in &self.txs {
