@@ -9,7 +9,7 @@
 //! The zoo currently holds five members: the three counting carriers
 //! ([`Nat`], [`Rat`], [`F64`]) plus two serving-layer carriers —
 //! [`LogF64`] (log-space sum-product: WMC that cannot underflow, the
-//! carrier `kb::KnowledgeBase` evaluates in) and [`MaxPlus`] (tropical
+//! carrier `kb::KbSession` evaluates in) and [`MaxPlus`] (tropical
 //! max-sum over log-weights: the MPE semiring, whose `⊕` picks the best
 //! branch instead of accumulating all of them).
 

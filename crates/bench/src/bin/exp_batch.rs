@@ -105,8 +105,8 @@ fn main() {
         for i in 0..nv {
             kb.set_probability(VarId(i as u32), prior(i)).unwrap();
         }
-        let ac_gates = kb.unfolded_size();
         let frozen = Arc::new(kb.freeze());
+        let ac_gates = frozen.unfolded_size();
         let target = VarId((nv / 2) as u32);
         let evidence = stream(nv);
 
@@ -237,8 +237,8 @@ fn main() {
         for i in 0..nv {
             kb.set_probability(VarId(i as u32), prior(i)).unwrap();
         }
-        let ac_gates = kb.unfolded_size();
         let frozen = Arc::new(kb.freeze());
+        let ac_gates = frozen.unfolded_size();
         let evidence = stream(nv);
 
         // Bit-identity gate: score and full witness, every checked lane.

@@ -1,31 +1,30 @@
 //! E16 — the freeze-and-serve regime: a sharded pool of frozen sessions
-//! vs one mutable knowledge base serving the same multi-client stream.
+//! vs one session serving the same multi-client stream.
 //!
 //! The workload is C = 8 concurrent clients over **one** compiled base.
 //! Each client holds its own context — a private weight override plus one
 //! evidence literal — and streams marginal queries. The architectures
 //! under comparison:
 //!
-//! * **mutable (the pre-freeze architecture, single-threaded):** one
-//!   `kb::KnowledgeBase` serves all clients interleaved. A mutable
-//!   manager holds exactly one weight vector, so every client switch
-//!   replays the incoming client's context (restore the previous
-//!   override, set the new one, swap the evidence pin) — which bumps the
-//!   eval-cache epoch and invalidates the marginals memo, so every query
-//!   pays a fresh two-pass sweep.
-//! * **frozen × T:** the same base compiled once, frozen into an
-//!   immutable slab, and registered as 8 replicas (one per client, all
-//!   `Arc`-sharing the slab) across a `serve::KbServer` pool of T shard
-//!   threads. Each client's context lives in its replica's session, set
-//!   once — repeated marginals ride that session's private warm caches.
+//! * **one session (single-threaded):** one `kb::KbSession` serves all
+//!   clients interleaved. A session holds exactly one weight vector, so
+//!   every client switch replays the incoming client's context (restore
+//!   the previous override, set the new one, swap the evidence pin) —
+//!   which bumps the eval-cache epoch and invalidates the marginals memo,
+//!   so every query pays a fresh two-pass sweep.
+//! * **frozen × T:** the same frozen slab registered as 8 replicas (one
+//!   per client, all `Arc`-sharing the slab) across a `serve::KbServer`
+//!   pool of T shard threads. Each client's context lives in its
+//!   replica's session, set once — repeated marginals ride that session's
+//!   private warm caches.
 //!
-//! Every frozen answer is cross-checked **string-identically** (floats
+//! Every pooled answer is cross-checked **string-identically** (floats
 //! travel through Rust's shortest-round-trip `Display`, so string
-//! equality is bit equality) against the mutable engine under the same
+//! equality is bit equality) against the single session under the same
 //! context. The full run asserts the ≥ 4× aggregate-throughput bar for
-//! the 8-shard pool over the single-threaded mutable baseline — the gain
-//! is architectural (8 persistent warm sessions vs one thrashed cache),
-//! so it holds even on a single-core runner; core counts only add to it.
+//! the 8-shard pool over the single-session baseline — the gain is
+//! architectural (8 persistent warm sessions vs one thrashed cache), so
+//! it holds even on a single-core runner; core counts only add to it.
 //!
 //! Regenerate: `cargo run --release -p sentential-bench --bin exp_serve`
 //! (`--smoke` for the CI-sized subset, `--json <path>` for records).
@@ -50,13 +49,12 @@ const ROUNDS: usize = 40;
 /// Shard-pool sizes swept for the throughput series.
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 /// The aggregate-throughput bar the committed `BENCH_serve.json`
-/// certifies: 8 shards of frozen sessions vs the single-threaded mutable
-/// baseline (measured 30–200× locally — warm memo hits vs a full sweep
-/// per client switch).
+/// certifies: 8 shards of frozen sessions vs the single-session baseline
+/// (warm memo hits vs a full sweep per client switch).
 const REQUIRED_SPEEDUP: f64 = 4.0;
-/// What `--smoke` asserts instead: the mechanism (frozen serving clearly
-/// beats the thrashed mutable path), with headroom for CI scheduler
-/// noise inside the short smoke windows.
+/// What `--smoke` asserts instead: the mechanism (the pool clearly beats
+/// the thrashed single session), with headroom for CI scheduler noise
+/// inside the short smoke windows.
 const SMOKE_SPEEDUP: f64 = 2.0;
 /// The micro-batch window the window-on axis opens (the workload is fully
 /// pipelined, so grouping drains the hot queue and the timer rarely arms).
@@ -91,7 +89,7 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let rounds = ROUNDS;
     println!(
-        "E16: sharded frozen serving vs one mutable kb, {CLIENTS} clients{}\n",
+        "E16: sharded frozen serving vs one session, {CLIENTS} clients{}\n",
         if smoke { " (smoke)" } else { "" }
     );
     let mut t = Table::new(&[
@@ -99,7 +97,7 @@ fn main() {
         "n",
         "sdd",
         "queries",
-        "mutable q/s",
+        "1 session q/s",
         "frozen q/s T=1",
         "T=2",
         "T=4",
@@ -111,34 +109,8 @@ fn main() {
     let mut run = |label: &str, n: u32, f: &CnfFormula, compiler: &Compiler| {
         let queries = CLIENTS * rounds;
 
-        // The mutable baseline: compile, weight, then serve the whole
-        // interleaved stream from one manager, replaying each incoming
-        // client's context at every switch.
-        let mut kb = KnowledgeBase::compile_cnf(compiler, f)
-            .unwrap_or_else(|e| panic!("{label} n={n}: {e}"));
-        for i in 0..n as usize {
-            kb.set_probability(VarId(i as u32), prior(i)).unwrap();
-        }
-        let _ = kb.unfolded_size(); // unfold the AC outside the timed window
-        let mut mutable_answers: Vec<String> = Vec::with_capacity(queries);
-        let t0 = Instant::now();
-        for j in 0..rounds {
-            for c in 0..CLIENTS {
-                let ((wv, wp), ev) = ctx(c, n);
-                // Client switch: restore the previous override, apply ours.
-                let ((pv, _), _) = ctx((c + CLIENTS - 1) % CLIENTS, n);
-                kb.retract();
-                kb.set_probability(pv, prior(pv.0 as usize)).unwrap();
-                kb.set_probability(wv, wp).unwrap();
-                kb.condition(&[ev]).unwrap();
-                let m = kb.marginal(query_var(c, j, n)).unwrap();
-                mutable_answers.push(format!("ok {}", black_box(m)));
-            }
-        }
-        let mutable_s = t0.elapsed().as_secs_f64();
-        let mutable_qps = queries as f64 / mutable_s;
-
-        // Freeze once; every pool size serves replicas of this one slab.
+        // Compile and freeze once; the baseline session and every pool
+        // size serve this one slab.
         let mut base = KnowledgeBase::compile_cnf(compiler, f)
             .unwrap_or_else(|e| panic!("{label} n={n}: {e}"));
         for i in 0..n as usize {
@@ -147,42 +119,65 @@ fn main() {
         let frozen = Arc::new(base.freeze());
         let (sdd_size, mem_bytes) = (frozen.sdd_size(), frozen.memory_bytes());
 
+        // The single-session baseline: serve the whole interleaved stream
+        // from one session, replaying each incoming client's context at
+        // every switch.
+        let mut one = frozen.session();
+        let mut one_answers: Vec<String> = Vec::with_capacity(queries);
+        let t0 = Instant::now();
+        for j in 0..rounds {
+            for c in 0..CLIENTS {
+                let ((wv, wp), ev) = ctx(c, n);
+                // Client switch: restore the previous override, apply ours.
+                let ((pv, _), _) = ctx((c + CLIENTS - 1) % CLIENTS, n);
+                one.retract();
+                one.set_probability(pv, prior(pv.0 as usize)).unwrap();
+                one.set_probability(wv, wp).unwrap();
+                one.condition(&[ev]).unwrap();
+                let m = one.marginal(query_var(c, j, n)).unwrap();
+                one_answers.push(format!("ok {}", black_box(m)));
+            }
+        }
+        let one_s = t0.elapsed().as_secs_f64();
+        let one_qps = queries as f64 / one_s;
+
         let mut frozen_qps = Vec::new();
         for &threads in &THREADS {
             let kbs: Vec<_> = (0..CLIENTS).map(|_| Arc::clone(&frozen)).collect();
-            let mut server = KbServer::new(kbs, threads);
+            let server = KbServer::new(kbs, threads);
+            let mut client = server.client();
             // Set each client's context once — it persists in the replica's
             // session, which is the point of the architecture.
             for c in 0..CLIENTS {
                 let ((wv, wp), ev) = ctx(c, n);
-                server.submit(c, Command::SetProbability(wv, wp)).unwrap();
-                server.submit(c, Command::Condition(vec![ev])).unwrap();
+                client.submit(c, Command::SetProbability(wv, wp)).unwrap();
+                client.submit(c, Command::Condition(vec![ev])).unwrap();
             }
-            server.sync();
+            client.sync();
             let t0 = Instant::now();
             for j in 0..rounds {
                 for c in 0..CLIENTS {
-                    server
+                    client
                         .submit(c, Command::Marginal(query_var(c, j, n)))
                         .unwrap();
                 }
             }
-            let responses = server.sync();
+            let responses = client.sync();
             let frozen_s = t0.elapsed().as_secs_f64();
             server.shutdown();
             assert_eq!(responses.len(), queries);
-            // Bit-fidelity: the pool's answers are the mutable engine's
+            // Bit-fidelity: the pool's answers are the single session's
             // answers, replica by replica, in submission order.
             for (i, (_, resp)) in responses.iter().enumerate() {
                 assert_eq!(
-                    resp, &mutable_answers[i],
-                    "{label} n={n} T={threads}: query {i} diverged from the mutable engine"
+                    resp, &one_answers[i],
+                    "{label} n={n} T={threads}: query {i} diverged from the single session"
                 );
             }
             frozen_qps.push(queries as f64 / frozen_s);
         }
 
-        let speedup = frozen_qps[THREADS.len() - 1] / mutable_qps;
+        let speedup = frozen_qps[THREADS.len() - 1] / one_qps;
         let required = if smoke {
             SMOKE_SPEEDUP
         } else {
@@ -191,7 +186,7 @@ fn main() {
         assert!(
             speedup >= required,
             "{label} n={n}: the 8-shard frozen pool must serve ≥ {required}× the \
-             single-threaded mutable baseline, measured {speedup:.1}×"
+             single-session baseline, measured {speedup:.1}×"
         );
 
         t.row(&[
@@ -199,7 +194,7 @@ fn main() {
             &n,
             &sdd_size,
             &queries,
-            &format!("{mutable_qps:.0}"),
+            &format!("{one_qps:.0}"),
             &format!("{:.0}", frozen_qps[0]),
             &format!("{:.0}", frozen_qps[1]),
             &format!("{:.0}", frozen_qps[2]),
@@ -214,16 +209,16 @@ fn main() {
                 ("sdd_size".into(), sdd_size as f64),
                 ("mem_bytes".into(), mem_bytes as f64),
                 ("queries".into(), queries as f64),
-                ("qps_mutable_1thread".into(), mutable_qps),
+                ("qps_one_session".into(), one_qps),
                 ("qps_frozen_t1".into(), frozen_qps[0]),
                 ("qps_frozen_t2".into(), frozen_qps[1]),
                 ("qps_frozen_t4".into(), frozen_qps[2]),
                 ("qps_frozen_t8".into(), frozen_qps[3]),
-                ("speedup_t8_vs_mutable".into(), speedup),
+                ("speedup_t8_vs_one_session".into(), speedup),
                 ("speedup_t8_vs_t1".into(), frozen_qps[3] / frozen_qps[0]),
                 // Per-query latencies in µs — the `_us` suffix is what the
                 // CI bench_diff hard gate keys on.
-                ("mutable_query_us".into(), 1e6 / mutable_qps),
+                ("one_session_query_us".into(), 1e6 / one_qps),
                 ("frozen_t8_query_us".into(), 1e6 / frozen_qps[3]),
             ],
         });
@@ -251,10 +246,10 @@ fn main() {
         REQUIRED_SPEEDUP
     };
     println!(
-        "\nEvery pooled answer is string-identical (= bit-identical) to the mutable \
-         engine's, and every family clears the ≥ {bar}× aggregate-throughput bar: \
-         eight frozen sessions keep eight warm caches where one mutable manager \
-         thrashes a single one."
+        "\nEvery pooled answer is string-identical (= bit-identical) to the single \
+         session's, and every family clears the ≥ {bar}× aggregate-throughput bar: \
+         eight frozen sessions keep eight warm caches where one session thrashes \
+         a single one."
     );
 
     // ---- The micro-batch window axis (protocol v4) ----------------------

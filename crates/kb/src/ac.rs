@@ -6,10 +6,11 @@
 //! **derivative** of the weighted count with respect to every literal
 //! weight (Darwiche's differential approach to inference), which requires a
 //! downward pass over an *explicit* computation graph. [`Ac`] is that
-//! graph: the SDD unfolded — once, at KB construction — into a plain DAG of
-//! `⊕`/`⊗` nodes with one shared leaf per literal and shared smoothing
-//! subcircuits per vtree node, stored in topological order so the upward
-//! pass is a forward sweep and the downward pass a reverse sweep.
+//! graph: the SDD unfolded — once, when the base is frozen — into a plain
+//! DAG of `⊕`/`⊗` nodes with one shared leaf per literal and shared
+//! smoothing subcircuits per vtree node, stored in topological order so
+//! the upward pass is a forward sweep and the downward pass a reverse
+//! sweep.
 //!
 //! The graph is stored **CSR-style** — parallel `kinds`/`meta` arrays plus
 //! one flat `children` array that per-gate `(start, end)` ranges tile — so
@@ -64,9 +65,7 @@ pub(crate) const K_MUL: u8 = 3;
 /// The circuit is plain owned data with no back-reference into the manager
 /// it was unfolded from (gate ids are its own dense ids), so a
 /// [`crate::FrozenKb`] carries it into the `Send + Sync` serving tier
-/// unchanged, branch sessions clone it instead of re-unfolding, and a
-/// snapshot persists the four buffers verbatim.
-#[derive(Clone)]
+/// unchanged, and a snapshot persists the four buffers verbatim.
 pub(crate) struct Ac {
     /// One kind byte per gate ([`K_ZERO`]…[`K_MUL`]).
     pub(crate) kinds: Vec<u8>,
@@ -134,13 +133,13 @@ impl<'m> Builder<'m> {
     }
 
     /// Multiply `base` by the smoothing gaps of every subtree branched away
-    /// from on the vtree walk `scope → target` ([`vtree::Vtree::branched_away`]).
+    /// from on the vtree walk `scope → target` ([`vtree::Vtree::gap_subtrees`]).
     fn smoothed(&mut self, base: AcId, scope: VtreeNodeId, target: VtreeNodeId) -> AcId {
         let mut factors = vec![base];
         let gapc = &self.gapc;
         self.mgr
             .vtree()
-            .branched_away(scope, target, |t| factors.push(gapc[t.index()]));
+            .gap_subtrees(scope, target, |t| factors.push(gapc[t.index()]));
         if factors.len() == 1 {
             base
         } else {

@@ -1,62 +1,49 @@
 //! The frozen serving tier: **one compiled base, many concurrent readers**.
 //!
-//! A [`KnowledgeBase`] owns a mutable [`sdd::SddManager`], so a compiled
-//! base can serve exactly one thread. [`KnowledgeBase::freeze`] converts it
-//! into a [`FrozenKb`] — the read-only serving form built on the immutable
-//! [`FrozenSdd`] slab — which is `Send + Sync` and shared via [`Arc`]:
+//! [`crate::KnowledgeBase::freeze`] turns a builder into a [`FrozenKb`] —
+//! the read-only serving form built on the immutable [`FrozenSdd`] slab —
+//! which is `Send + Sync` and shared via [`Arc`]. A compiled base is
+//! always frozen before it answers anything, and a slab is only ever read.
 //!
 //! * [`FrozenKb::session`] hands out a [`KbSession`] per serving thread: a
 //!   thin handle holding private epoch-tagged [`EvalCache`]s over the
 //!   shared slab. Sessions answer the full query menu (`log_weight`,
 //!   `query`, `marginal` / `all_marginals`, `mpe`, `enumerate_models`,
-//!   `entails`, exact `count_models`) **bit-identically** to the mutable
-//!   [`KnowledgeBase`]: the mutable path answers every numeric query by
-//!   evaluating the *unconditioned* root under evidence-pinned weights, and
-//!   a session does exactly that, so the two paths run the same semiring
-//!   operations in the same order.
+//!   `entails`, exact `count_models`, and the `*_batch` lane forms) by
+//!   evaluating the *unconditioned* root under evidence-pinned weights.
 //! * Session [`KbSession::condition`] / [`KbSession::retract`] are pure
 //!   weight-space operations (pin the opposing polarity to log 0) — no node
 //!   is ever interned, so any number of sessions condition independently
 //!   over one slab. Structural consistency and entailment come from a third
 //!   cache carrying `(1, 1)` weights with the same pins: its root value is
-//!   `-∞` exactly when the mutable path's restricted root is ⊥. Exact
-//!   counting replaces the mutable path's `count(cond_root) ≫ |pins|` with
-//!   a `Nat` sweep under `(0, 1)`-pinned weights — the same integer.
-//! * [`FrozenKb::branch`] is the copy-on-write escape hatch for work that
-//!   truly needs the apply machinery: it reopens a mutable
-//!   [`KnowledgeBase`] on an overlay manager ([`FrozenSdd::branch`]) that
-//!   interns new nodes *on top of* the shared slab without touching it.
-//!   Branching is cheap on purpose — the arena and node table are not
-//!   copied, and cache weights are replayed only for variables that differ
-//!   from the defaults, so branching a 100k-variable chain does no
-//!   per-variable vtree walks unless weights or evidence demand them.
+//!   `-∞` exactly when `F ∧ e` has no model. Exact counting is a `Nat`
+//!   sweep under `(0, 1)`-pinned weights.
 //!
 //! Evidence frozen into the base stays asserted in every session; a
 //! session's own evidence is local to it and [`KbSession::retract`]
 //! restores the frozen baseline, never less.
 
 use crate::ac::Ac;
-use crate::{stats_sum, KbError, KbProvenance, KbQueryStats, KnowledgeBase, Lit, Model, QueryKind};
+use crate::{
+    pin, pinned_log_pair, stats_sum, structural_log_pair, KbError, KbProvenance, KbQueryStats, Lit,
+    Model, QueryKind,
+};
 use arith::{log_sum_exp, BigUint, LogF64, Nat};
 use boolfunc::Assignment;
 use sdd::eval::{EvalCache, EvalCacheStats, EvalLanes};
-use sdd::{ApplyStats, FrozenSdd, SddId};
+use sdd::{FrozenSdd, SddId};
 use std::sync::Arc;
 use std::time::Instant;
 use vtree::fxhash::FxHashMap;
 use vtree::VarId;
 
-/// The read-only serving form of a [`KnowledgeBase`]: the frozen SDD slab
-/// plus everything a query needs (weights, evidence pins, the unfolded
-/// arithmetic circuit, provenance). `Send + Sync`; share with [`Arc`] and
+/// The read-only serving form of a [`crate::KnowledgeBase`]: the frozen
+/// SDD slab plus everything a query needs (weights, evidence pins, the
+/// unfolded arithmetic circuit, provenance). `Send + Sync`; share with [`Arc`] and
 /// open one [`KbSession`] per serving thread.
 pub struct FrozenKb {
     pub(crate) sdd: Arc<FrozenSdd>,
     pub(crate) root: SddId,
-    /// The root restricted by the *frozen* evidence (kept so
-    /// [`FrozenKb::branch`] reopens exactly where the mutable base left
-    /// off — sessions never use it).
-    pub(crate) cond_root: SddId,
     pub(crate) vars: Vec<VarId>,
     pub(crate) var_index: FxHashMap<VarId, usize>,
     pub(crate) weights: FxHashMap<VarId, (f64, f64)>,
@@ -76,43 +63,6 @@ fn frozen_kb_is_send_sync() {
     assert_send_sync::<Arc<FrozenKb>>();
     // A session is owned by one serving thread but may be *moved* to it.
     assert_send::<KbSession>();
-}
-
-impl KnowledgeBase {
-    /// Freeze this knowledge base into its immutable serving form. The
-    /// arithmetic circuit is unfolded first (if it has not been already) so
-    /// every session gets the two-pass queries without a build step; the
-    /// manager's slabs then move into the [`FrozenSdd`] without copying.
-    /// Current weights and evidence are frozen in — sessions start from
-    /// this exact state.
-    pub fn freeze(mut self) -> FrozenKb {
-        self.ensure_ac();
-        let KnowledgeBase {
-            mgr,
-            root,
-            cond_root,
-            vars,
-            var_index,
-            weights,
-            evidence,
-            pinned,
-            ac,
-            provenance,
-            ..
-        } = self;
-        FrozenKb {
-            sdd: Arc::new(mgr.freeze()),
-            root,
-            cond_root,
-            vars,
-            var_index,
-            weights,
-            evidence,
-            pinned,
-            ac: ac.expect("ensure_ac ran above"),
-            provenance,
-        }
-    }
 }
 
 impl FrozenKb {
@@ -236,57 +186,12 @@ impl FrozenKb {
             obs: None,
         }
     }
-
-    /// Reopen a mutable [`KnowledgeBase`] as a copy-on-write overlay on the
-    /// shared slab: new nodes intern on top of the frozen base without
-    /// touching it, so structural work (apply-based conditioning,
-    /// entailment at scale, further compilation) proceeds per-branch. The
-    /// returned base starts from the frozen weights and evidence;
-    /// provenance is [`KbProvenance::Raw`] (the report stays with the
-    /// frozen original).
-    pub fn branch(&self) -> KnowledgeBase {
-        let mgr = self.sdd.branch();
-        let mut prior = EvalCache::new(&mgr, LogF64, |_, _| 0.0);
-        let mut posterior = EvalCache::new(&mgr, LogF64, |_, _| 0.0);
-        // Replay only the variables that differ from the (1, 1) default:
-        // each set_weight stamps a leaf-to-root vtree path, and a deep
-        // chain with default weights should branch in O(1) vtree work.
-        for &v in &self.vars {
-            let (wn, wp) = self.weights[&v];
-            if (wn, wp) != (1.0, 1.0) {
-                prior.set_weight(&mgr, v, wn.ln(), wp.ln());
-            }
-            let (ln, lp) = pinned_log_pair(&self.weights, &self.pinned, v);
-            if ln != 0.0 || lp != 0.0 {
-                posterior.set_weight(&mgr, v, ln, lp);
-            }
-        }
-        KnowledgeBase {
-            mgr,
-            root: self.root,
-            cond_root: self.cond_root,
-            vars: self.vars.clone(),
-            var_index: self.var_index.clone(),
-            weights: self.weights.clone(),
-            evidence: self.evidence.clone(),
-            pinned: self.pinned.clone(),
-            prior,
-            posterior,
-            ac: Some(self.ac.clone()),
-            marginals_memo: None,
-            provenance: KbProvenance::Raw,
-            last_query: KbQueryStats::default(),
-            memo_hit_scratch: false,
-        }
-    }
 }
 
 /// One serving thread's handle on a shared [`FrozenKb`]: private
 /// epoch-tagged evaluation caches (numeric prior/posterior plus the
-/// structural consistency cache), session-local evidence and weights. The
-/// query methods mirror [`KnowledgeBase`]'s signatures and — by running
-/// the identical evaluation in the identical order — return bit-identical
-/// answers.
+/// structural consistency cache), session-local evidence and weights —
+/// the one implementation of every query.
 pub struct KbSession {
     kb: Arc<FrozenKb>,
     /// Session-local base weights (start as the frozen table;
@@ -302,8 +207,7 @@ pub struct KbSession {
     /// log W(F ∧ e): evidence-pinned weights.
     posterior: EvalCache<LogF64>,
     /// Weights forced to `(1, 1)`, evidence pins kept: the root value is
-    /// `-∞` exactly when no model satisfies the evidence, reproducing the
-    /// mutable path's `cond_root != ⊥` without interning a single node.
+    /// `-∞` exactly when no model satisfies the evidence.
     structural: EvalCache<LogF64>,
     /// Marginals memo, keyed by the posterior cache's epoch.
     marginals_memo: Option<(u64, Result<Vec<f64>, KbError>)>,
@@ -394,8 +298,8 @@ impl KbSession {
         &self.kb.vars
     }
 
-    /// Cost of the most recent query (`apply` is always zero: sessions
-    /// never run the apply machinery; `mem_bytes` reports the shared slab).
+    /// Cost of the most recent query (`mem_bytes` reports the shared
+    /// slab).
     pub fn last_query(&self) -> KbQueryStats {
         self.last_query
     }
@@ -444,10 +348,13 @@ impl KbSession {
     // Evidence (weight-space only — nothing is interned)
     // ------------------------------------------------------------------
 
-    /// Assert evidence literals, mirroring [`KnowledgeBase::condition`]'s
-    /// semantics exactly (accumulating, contradiction detection, the
-    /// [`KbError::Inconsistent`] verdict) — but purely in weight space, so
-    /// concurrent sessions condition independently over one shared slab.
+    /// Assert evidence literals: each `(v, b)` pins `v := b` by zeroing
+    /// `v`'s opposing weight — purely in weight space, so concurrent
+    /// sessions condition independently over one shared slab. Evidence
+    /// accumulates across calls; asserting both polarities of a variable
+    /// makes the session inconsistent (and the call returns
+    /// [`KbError::Inconsistent`], with the evidence retained — use
+    /// [`KbSession::retract`] to recover).
     pub fn condition(&mut self, lits: &[Lit]) -> Result<(), KbError> {
         for &(v, _) in lits {
             if !self.kb.var_index.contains_key(&v) {
@@ -456,15 +363,8 @@ impl KbSession {
         }
         self.tracked(QueryKind::Condition, |s| {
             for &(v, b) in lits {
-                match s.pinned.get(&v).copied() {
-                    Some(Some(prev)) if prev == b => continue, // already pinned
-                    Some(Some(_)) => {
-                        s.pinned.insert(v, None); // both polarities: ⊥
-                    }
-                    Some(None) => continue, // already contradicted
-                    None => {
-                        s.pinned.insert(v, Some(b));
-                    }
+                if !pin(&mut s.pinned, (v, b)) {
+                    continue;
                 }
                 s.evidence.push((v, b));
                 let (ln, lp) = s.pinned_log_pair(v);
@@ -498,9 +398,11 @@ impl KbSession {
     }
 
     /// Does the formula have a model consistent with the evidence?
-    /// (Structural — weights are ignored, exactly as in
-    /// [`KnowledgeBase::is_consistent`]; `&mut` because the verdict comes
-    /// from the session's structural cache.)
+    /// (Structural: ignores weights — a model whose weight is 0 still
+    /// counts. The numeric queries additionally fail with
+    /// [`KbError::Inconsistent`] when every such model weighs nothing.
+    /// `&mut` because the verdict comes from the session's structural
+    /// cache.)
     pub fn is_consistent(&mut self) -> bool {
         self.tracked(QueryKind::Consistent, |s| s.consistent())
     }
@@ -510,10 +412,12 @@ impl KbSession {
     }
 
     // ------------------------------------------------------------------
-    // Numeric queries (log-space, cached) — mirrors of KnowledgeBase
+    // Numeric queries (log-space, cached)
     // ------------------------------------------------------------------
 
-    /// `ln W(F ∧ e)` — see [`KnowledgeBase::log_weight`].
+    /// `ln W(F ∧ e)`: the log weighted model count under the current
+    /// evidence (`-∞` when inconsistent). The underflow-safe primitive the
+    /// probability queries are ratios of.
     pub fn log_weight(&mut self) -> f64 {
         self.tracked(QueryKind::LogWeight, |s| {
             let _sp = obs::span("eval");
@@ -521,14 +425,14 @@ impl KbSession {
         })
     }
 
-    /// `W(F ∧ e)` in the linear domain — see
-    /// [`KnowledgeBase::weighted_count`].
+    /// `W(F ∧ e)` in the linear domain — underflows to 0 where
+    /// [`KbSession::log_weight`] would not.
     pub fn weighted_count(&mut self) -> f64 {
         self.log_weight().exp()
     }
 
-    /// `P(e) = W(F ∧ e) / W(F)` — see
-    /// [`KnowledgeBase::probability_of_evidence`].
+    /// `P(e) = W(F ∧ e) / W(F)`: how much of the prior weight the evidence
+    /// retained. Errors when the formula itself carries no weight.
     pub fn probability_of_evidence(&mut self) -> Result<f64, KbError> {
         self.tracked(QueryKind::ProbEvidence, |s| {
             let _sp = obs::span("eval");
@@ -541,9 +445,11 @@ impl KbSession {
         })
     }
 
-    /// `P(⋀ lits | F ∧ e)` — see [`KnowledgeBase::query`]. The same
-    /// pin-evaluate-restore dance over the session's private posterior
-    /// cache.
+    /// `P(⋀ lits | F ∧ e)`: the conditional probability of a conjunction
+    /// of literals given the formula and current evidence. Computed by
+    /// temporarily pinning the literals' weights in the session's private
+    /// posterior cache — it re-evaluates only the affected cones, twice
+    /// (pin and restore).
     pub fn query(&mut self, lits: &[Lit]) -> Result<f64, KbError> {
         for &(v, _) in lits {
             if !self.kb.var_index.contains_key(&v) {
@@ -666,7 +572,9 @@ impl KbSession {
         })
     }
 
-    /// `P(v = 1 | F ∧ e)` — see [`KnowledgeBase::marginal`].
+    /// `P(v = 1 | F ∧ e)`: one posterior marginal. The first marginal
+    /// after a weight or evidence change runs the two-pass sweep and
+    /// memoizes all of them, so a scan over variables costs one sweep.
     pub fn marginal(&mut self, v: VarId) -> Result<f64, KbError> {
         let i = *self
             .kb
@@ -676,7 +584,8 @@ impl KbSession {
         Ok(self.marginals_table(QueryKind::Marginal)?[i])
     }
 
-    /// All posterior marginals — see [`KnowledgeBase::all_marginals`].
+    /// All posterior marginals `P(v = 1 | F ∧ e)`, in vtree variable
+    /// order, from one upward + downward sweep of the unfolded circuit.
     pub fn all_marginals(&mut self) -> Result<Vec<(VarId, f64)>, KbError> {
         let table = self.marginals_table(QueryKind::AllMarginals)?.clone();
         Ok(self.kb.vars.iter().copied().zip(table).collect())
@@ -767,16 +676,7 @@ impl KbSession {
                         lane_err[l] = Some(KbError::UnknownVariable(v));
                         break;
                     }
-                    match pins.get(&v).copied() {
-                        Some(Some(prev)) if prev == b => {}
-                        Some(Some(_)) => {
-                            pins.insert(v, None);
-                        }
-                        Some(None) => {}
-                        None => {
-                            pins.insert(v, Some(b));
-                        }
-                    }
+                    pin(&mut pins, (v, b));
                 }
                 merged.push(pins);
             }
@@ -822,9 +722,12 @@ impl KbSession {
         })
     }
 
-    /// The most probable explanation — see [`KnowledgeBase::mpe`],
-    /// including the verified witness (satisfies the frozen SDD, agrees
-    /// with every pin, reproduces the maximum weight).
+    /// The most probable explanation: the model of maximum weight
+    /// consistent with the current evidence, found by a [`arith::MaxPlus`]
+    /// sweep with argmax back-pointers. The witness is **verified** before
+    /// it is returned: it satisfies the frozen SDD, agrees with every pin,
+    /// and its literal weights multiply to the reported maximum (any
+    /// violation is a bug and panics).
     pub fn mpe(&mut self) -> Result<Model, KbError> {
         self.tracked(QueryKind::Mpe, |s| {
             let weights = s.posterior_log_weights();
@@ -906,16 +809,7 @@ impl KbSession {
                         lane_err[l] = Some(KbError::UnknownVariable(v));
                         break;
                     }
-                    match pins.get(&v).copied() {
-                        Some(Some(prev)) if prev == b => {}
-                        Some(Some(_)) => {
-                            pins.insert(v, None);
-                        }
-                        Some(None) => {}
-                        None => {
-                            pins.insert(v, Some(b));
-                        }
-                    }
+                    pin(&mut pins, (v, b));
                 }
                 merged.push(pins);
             }
@@ -1009,7 +903,10 @@ impl KbSession {
         })
     }
 
-    /// The `k` heaviest models — see [`KnowledgeBase::enumerate_models`].
+    /// The `k` heaviest models consistent with the current evidence,
+    /// heaviest first (fewer than `k` when the model set is smaller; empty
+    /// when inconsistent). Each returned model satisfies the SDD —
+    /// determinism guarantees the list has no duplicates.
     pub fn enumerate_models(&mut self, k: usize) -> Vec<Model> {
         self.tracked(QueryKind::TopK, |s| {
             let _sp = obs::span("ac_topk");
@@ -1035,13 +932,13 @@ impl KbSession {
     // Structural queries (weight-free, but still apply-free)
     // ------------------------------------------------------------------
 
-    /// Does `F ∧ e` entail the clause `⋁ lits`? The mutable path
-    /// conditions on the clause's negation through the apply machinery;
-    /// the session pins the negation into its structural cache instead —
-    /// `F ∧ e ∧ ⋀ ¬lit` has no model exactly when the clause is entailed.
-    /// Pin conflicts do the case analysis for free: a clause literal the
-    /// evidence satisfies, or a complementary pair within the clause, zero
-    /// both polarities of that variable, and the count collapses.
+    /// Does `F ∧ e` entail the clause `⋁ lits`? The session pins the
+    /// clause's negation into its structural cache — `F ∧ e ∧ ⋀ ¬lit` has
+    /// no model exactly when the clause is entailed. Pin conflicts do the
+    /// case analysis for free: a clause literal the evidence satisfies, or
+    /// a complementary pair within the clause, zero both polarities of
+    /// that variable, and the count collapses. An empty clause is entailed
+    /// exactly when the session is inconsistent.
     pub fn entails(&mut self, clause: &[Lit]) -> Result<bool, KbError> {
         for &(v, _) in clause {
             if !self.kb.var_index.contains_key(&v) {
@@ -1071,11 +968,10 @@ impl KbSession {
         })
     }
 
-    /// The exact number of models of `F ∧ e` over all variables — the
-    /// same integer as [`KnowledgeBase::count_models`], computed as one
-    /// `Nat` sweep of the *unconditioned* root under `(0, 1)`-pinned
-    /// weights (each pinned variable keeps exactly its asserted polarity,
-    /// so no power-of-two correction is needed).
+    /// The exact number of models of `F ∧ e` over all variables
+    /// ([`arith::BigUint`] — no overflow at any size), computed as one
+    /// `Nat` sweep of the root under `(0, 1)`-pinned weights (each pinned
+    /// variable keeps exactly its asserted polarity).
     pub fn count_models(&mut self) -> BigUint {
         self.tracked(QueryKind::Count, |s| {
             let _sp = obs::span("nat_sweep");
@@ -1123,10 +1019,8 @@ impl KbSession {
     }
 
     /// Run a query body, snapshotting its cost into
-    /// [`KbSession::last_query`] (the shape of the mutable path's
-    /// `tracked`; the apply counters stay zero because sessions never
-    /// intern) and — when telemetry is attached — publishing it under
-    /// `kind` and tracing it for the slow log.
+    /// [`KbSession::last_query`] and — when telemetry is attached —
+    /// publishing it under `kind` and tracing it for the slow log.
     fn tracked<T>(&mut self, kind: QueryKind, body: impl FnOnce(&mut Self) -> T) -> T {
         let t0 = Instant::now();
         let eval0 = stats_sum(
@@ -1141,7 +1035,6 @@ impl KbSession {
         }
         let out = body(self);
         self.last_query = KbQueryStats {
-            apply: ApplyStats::default(),
             eval: stats_sum(
                 stats_sum(
                     stats_sum(self.prior.stats(), self.posterior.stats()),
@@ -1196,61 +1089,19 @@ impl KbSession {
     }
 }
 
-/// The evidence-adjusted log-weight pair of `v` — the same table as
-/// [`KnowledgeBase`]'s private `pinned_log_pair`, shared by the frozen
-/// forms.
-fn pinned_log_pair(
-    weights: &FxHashMap<VarId, (f64, f64)>,
-    pinned: &FxHashMap<VarId, Option<bool>>,
-    v: VarId,
-) -> (f64, f64) {
-    let (wn, wp) = weights[&v];
-    match pinned.get(&v) {
-        None => (wn.ln(), wp.ln()),
-        Some(Some(true)) => (f64::NEG_INFINITY, wp.ln()),
-        Some(Some(false)) => (wn.ln(), f64::NEG_INFINITY),
-        Some(None) => (f64::NEG_INFINITY, f64::NEG_INFINITY),
-    }
-}
-
-/// The *structural* log pair of `v`: weights forced to `(1, 1)` so only
-/// the pins matter. Evaluating the root under this table yields `-∞`
-/// exactly when `F ∧ e` has no model — the weight-space reproduction of
-/// `cond_root == ⊥`.
-fn structural_log_pair(pinned: &FxHashMap<VarId, Option<bool>>, v: VarId) -> (f64, f64) {
-    match pinned.get(&v) {
-        None => (0.0, 0.0),
-        Some(Some(true)) => (f64::NEG_INFINITY, 0.0),
-        Some(Some(false)) => (0.0, f64::NEG_INFINITY),
-        Some(None) => (f64::NEG_INFINITY, f64::NEG_INFINITY),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cnf::CnfFormula;
-    use sentential_core::Compiler;
+    use crate::tests::{brute_weight, demo_builder};
+    use crate::KnowledgeBase;
 
     fn v(i: u32) -> VarId {
         VarId(i)
     }
 
-    /// `(x0 ∨ x1) ∧ (¬x1 ∨ x2)` with distinct probabilities — the same
-    /// fixture as the mutable layer's tests.
+    /// The shared `(x0 ∨ x1) ∧ (¬x1 ∨ x2)` fixture, as a builder.
     fn demo_kb() -> KnowledgeBase {
-        let f = CnfFormula::from_clauses(
-            3,
-            vec![
-                vec![(v(0), true), (v(1), true)],
-                vec![(v(1), false), (v(2), true)],
-            ],
-        );
-        let mut kb = KnowledgeBase::compile_cnf(&Compiler::new(), &f).unwrap();
-        for (i, &p) in [0.3, 0.6, 0.8].iter().enumerate() {
-            kb.set_probability(v(i as u32), p).unwrap();
-        }
-        kb
+        crate::tests::demo_builder().0
     }
 
     /// Each `mpe_batch` lane must match the scalar `condition; mpe` loop
@@ -1290,135 +1141,49 @@ mod tests {
         assert_eq!(s.last_query().lanes, batch.len());
     }
 
-    /// Every query a session answers must be *bit-identical* to the
-    /// mutable path under the same evidence script — the serving tier's
-    /// core contract.
-    #[test]
-    fn session_answers_are_bit_identical_to_the_mutable_path() {
-        let mut kb = demo_kb();
-        let frozen = Arc::new(demo_kb().freeze());
-        let mut s = frozen.session();
-
-        let scripts: &[&[Lit]] = &[&[], &[(v(1), true)], &[(v(0), false), (v(2), true)]];
-        for script in scripts {
-            kb.retract();
-            s.retract();
-            if !script.is_empty() {
-                assert_eq!(kb.condition(script), s.condition(script));
-            }
-            assert_eq!(kb.log_weight().to_bits(), s.log_weight().to_bits());
-            assert_eq!(
-                kb.probability_of_evidence().map(f64::to_bits),
-                s.probability_of_evidence().map(f64::to_bits)
-            );
-            assert_eq!(
-                kb.query(&[(v(0), true)]).map(f64::to_bits),
-                s.query(&[(v(0), true)]).map(f64::to_bits)
-            );
-            for i in 0..3u32 {
-                assert_eq!(
-                    kb.marginal(v(i)).map(f64::to_bits),
-                    s.marginal(v(i)).map(f64::to_bits),
-                    "marginal x{i} under {script:?}"
-                );
-            }
-            let (km, sm) = (kb.mpe().unwrap(), s.mpe().unwrap());
-            assert_eq!(km.log_weight.to_bits(), sm.log_weight.to_bits());
-            assert_eq!(km.assignment, sm.assignment);
-            let (ke, se) = (kb.enumerate_models(8), s.enumerate_models(8));
-            assert_eq!(ke.len(), se.len());
-            for (a, b) in ke.iter().zip(&se) {
-                assert_eq!(a.log_weight.to_bits(), b.log_weight.to_bits());
-                assert_eq!(a.assignment, b.assignment);
-            }
-            assert_eq!(kb.count_models(), s.count_models());
-            assert_eq!(kb.is_consistent(), s.is_consistent());
-        }
-    }
-
-    #[test]
-    fn session_entailment_matches_the_apply_path() {
-        let mut kb = demo_kb();
-        let frozen = Arc::new(demo_kb().freeze());
-        let mut s = frozen.session();
-        let clauses: &[&[Lit]] = &[
-            &[(v(0), true)],
-            &[(v(0), true), (v(1), true)],
-            &[(v(1), false), (v(2), true)],
-            &[(v(0), true), (v(0), false)],
-            &[(v(2), false), (v(0), true), (v(2), true)],
-            &[(v(0), true), (v(0), true)],
-            &[],
-        ];
-        for clause in clauses {
-            assert_eq!(kb.entails(clause), s.entails(clause), "{clause:?}");
-        }
-        // Under evidence — including clauses touching the evidence var.
-        kb.condition(&[(v(1), true)]).unwrap();
-        s.condition(&[(v(1), true)]).unwrap();
-        let clauses: &[&[Lit]] = &[
-            &[(v(2), true)],
-            &[(v(0), true)],
-            &[(v(1), true)],
-            &[(v(1), true), (v(0), true)],
-            &[(v(1), false), (v(2), true)],
-            &[(v(1), false)],
-            &[(v(1), false), (v(0), true)],
-            &[],
-        ];
-        for clause in clauses {
-            assert_eq!(kb.entails(clause), s.entails(clause), "{clause:?}");
-        }
-        // Contradictory evidence: both paths report it and then entail ⊥.
-        assert_eq!(
-            kb.condition(&[(v(1), false)]),
-            s.condition(&[(v(1), false)])
-        );
-        assert_eq!(kb.entails(&[]), s.entails(&[]));
-        kb.retract();
-        s.retract();
-        assert_eq!(kb.entails(&[]), s.entails(&[]));
-    }
-
     #[test]
     fn evidence_frozen_into_the_base_persists_across_session_retract() {
-        let mut kb = demo_kb();
+        let (mut kb, f, probs) = demo_builder();
         kb.condition(&[(v(2), true)]).unwrap();
-        let expect = kb.log_weight();
+        let expect = brute_weight(&f, &probs, &[(v(2), true)]);
         let frozen = Arc::new(kb.freeze());
         assert_eq!(frozen.evidence(), &[(v(2), true)]);
         let mut s = frozen.session();
-        assert_eq!(s.log_weight().to_bits(), expect.to_bits());
+        let baseline = s.weighted_count();
+        assert!((baseline - expect).abs() < 1e-12, "{baseline} vs {expect}");
         // A session conditions further, retracts, and lands back on the
         // frozen baseline — not the unconditioned formula.
         s.condition(&[(v(1), false)]).unwrap();
+        let deeper = brute_weight(&f, &probs, &[(v(2), true), (v(1), false)]);
+        assert!((s.weighted_count() - deeper).abs() < 1e-12);
         s.retract();
-        assert_eq!(s.log_weight().to_bits(), expect.to_bits());
+        assert_eq!(s.weighted_count().to_bits(), baseline.to_bits());
         assert!(s.evidence().is_empty());
     }
 
     #[test]
     fn sessions_condition_independently_over_one_slab() {
-        let frozen = Arc::new(demo_kb().freeze());
+        let (kb, f, probs) = demo_builder();
+        let frozen = Arc::new(kb.freeze());
         let mut a = frozen.session();
         let mut b = frozen.session();
         a.condition(&[(v(1), true)]).unwrap();
         b.condition(&[(v(1), false)]).unwrap();
-        // Each session sees its own posterior; cross-check via branches of
-        // the mutable path.
-        let mut ka = frozen.branch();
-        ka.condition(&[(v(1), true)]).unwrap();
-        let mut kb2 = frozen.branch();
-        kb2.condition(&[(v(1), false)]).unwrap();
-        assert_eq!(a.log_weight().to_bits(), ka.log_weight().to_bits());
-        assert_eq!(b.log_weight().to_bits(), kb2.log_weight().to_bits());
-        assert_eq!(a.count_models(), ka.count_models());
-        assert_eq!(b.count_models(), kb2.count_models());
+        // Each session sees its own posterior.
+        for (s, lit) in [(&mut a, (v(1), true)), (&mut b, (v(1), false))] {
+            let expect = brute_weight(&f, &probs, &[lit]);
+            assert!((s.weighted_count() - expect).abs() < 1e-12);
+        }
+        // x1 forces x2, leaving x0 free: 2 models. ¬x1 forces x0, leaving
+        // x2 free: 2 models.
+        assert_eq!(a.count_models().to_u128(), Some(2));
+        assert_eq!(b.count_models().to_u128(), Some(2));
     }
 
     #[test]
     fn session_weight_changes_stay_session_local() {
-        let frozen = Arc::new(demo_kb().freeze());
+        let (kb, f, mut probs) = demo_builder();
+        let frozen = Arc::new(kb.freeze());
         let mut a = frozen.session();
         let mut b = frozen.session();
         let before = b.log_weight();
@@ -1426,39 +1191,12 @@ mod tests {
         assert_ne!(a.log_weight().to_bits(), before.to_bits());
         assert_eq!(b.log_weight().to_bits(), before.to_bits());
         assert_eq!(frozen.weights_of(v(0)), Some((0.7, 0.3)));
-        // And the session's answers match a mutable base given the same
-        // weight change.
-        let mut k = frozen.branch();
-        k.set_probability(v(0), 0.99).unwrap();
-        assert_eq!(a.log_weight().to_bits(), k.log_weight().to_bits());
-        assert_eq!(
-            a.marginal(v(2)).map(f64::to_bits),
-            k.marginal(v(2)).map(f64::to_bits)
-        );
-    }
-
-    #[test]
-    fn branch_reopens_the_full_mutable_query_menu() {
-        let frozen = Arc::new(demo_kb().freeze());
-        let mut br = frozen.branch();
-        let mut kb = demo_kb();
-        // Structural conditioning (the apply machinery) works on the
-        // overlay and matches a never-frozen base exactly.
-        assert_eq!(br.condition(&[(v(1), true)]), kb.condition(&[(v(1), true)]));
-        assert_eq!(br.log_weight().to_bits(), kb.log_weight().to_bits());
-        assert_eq!(br.count_models(), kb.count_models());
-        assert_eq!(br.entails(&[(v(2), true)]), kb.entails(&[(v(2), true)]));
-        assert_eq!(
-            br.marginal(v(0)).map(f64::to_bits),
-            kb.marginal(v(0)).map(f64::to_bits)
-        );
-        // The overlay interned the restriction without touching the slab.
-        assert!(br.sdd().num_allocated() >= frozen.sdd().num_allocated());
-        // A branch can itself be frozen (flattening the overlay) and keep
-        // serving.
-        let refrozen = Arc::new(br.freeze());
-        let mut s = refrozen.session();
-        assert_eq!(s.log_weight().to_bits(), kb.log_weight().to_bits());
+        // And the session's answers are those of the changed weights.
+        probs[0] = 0.99;
+        let total = brute_weight(&f, &probs, &[]);
+        assert!((a.weighted_count() - total).abs() < 1e-12);
+        let m2 = brute_weight(&f, &probs, &[(v(2), true)]) / total;
+        assert!((a.marginal(v(2)).unwrap() - m2).abs() < 1e-12);
     }
 
     #[test]
@@ -1477,7 +1215,6 @@ mod tests {
         let mut s = frozen.session();
         let _ = s.log_weight();
         assert_eq!(s.last_query().mem_bytes, slab);
-        assert_eq!(s.last_query().apply, ApplyStats::default());
     }
 
     /// The memo-hit flag separates the memoized-marginals fast path from a

@@ -7,7 +7,7 @@
 //!
 //! | tag | section  | payload |
 //! |-----|----------|---------|
-//! | 16  | kbmeta   | `root, cond_root` |
+//! | 16  | kbmeta   | `root, root` (the second word is reserved: written as `root`, only bounds-checked on load) |
 //! | 17  | vars     | the served [`VarId`]s, defining the dense index |
 //! | 18  | weights  | per var in order: `(w⁻, w⁺)` as raw `f64::to_bits` — loads bit-identically |
 //! | 19  | evidence | frozen `(var, polarity)` literals, in assertion order |
@@ -77,7 +77,7 @@ impl FrozenKb {
 
         let mut buf = Vec::with_capacity(8);
         put_u32(&mut buf, self.root.0);
-        put_u32(&mut buf, self.cond_root.0);
+        put_u32(&mut buf, self.root.0);
         w.section(TAG_KBMETA, &buf)?;
 
         let mut buf = Vec::with_capacity(self.vars.len() * 4);
@@ -155,9 +155,9 @@ impl FrozenKb {
         let meta = r.take(TAG_KBMETA)?;
         let mut d = Dec::new(&meta, "kbmeta section");
         let root = SddId(d.u32()?);
-        let cond_root = SddId(d.u32()?);
+        let reserved = d.u32()?;
         d.done()?;
-        if root.0 as usize >= num_nodes || cond_root.0 as usize >= num_nodes {
+        if root.0 as usize >= num_nodes || reserved as usize >= num_nodes {
             return Err(SnapError::Invalid {
                 what: "kb root out of bounds",
             });
@@ -239,7 +239,6 @@ impl FrozenKb {
         Ok(FrozenKb {
             sdd: Arc::new(sdd),
             root,
-            cond_root,
             vars,
             var_index,
             weights,

@@ -3,17 +3,20 @@
 //! The chain family compiles to vtree/SDD structures as *deep* as the
 //! variable count, which is exactly where the pre-iterative engines blew
 //! the stack (~10k variables needed a dedicated 256 MB thread). These
-//! tests drive a full knowledge-base session — `compile_cnf` →
-//! `condition` → `all_marginals` → `mpe` → `enumerate_models` — on the
-//! harness's **default-size test thread**, at 100k variables, with every
-//! numeric answer checked against an independent O(n) chain-DP oracle;
-//! the same session at small scale is additionally pinned against the
-//! exact `Rational` engine (the `LogF64`/`Rat` cross-check).
+//! tests drive a full knowledge-base session — `compile_cnf` → SDD
+//! restriction → `condition` → `freeze` → `all_marginals` → `mpe` →
+//! `enumerate_models` — on the harness's **default-size test thread**, at
+//! 100k variables, with every numeric answer checked against an
+//! independent O(n) chain-DP oracle; the same session at small scale is
+//! additionally pinned against the exact `Rational` engine (the
+//! `LogF64`/`Rat` cross-check).
 
-use arith::{BigUint, Rational};
+use arith::{BigUint, LogF64, Rational};
 use cnf::families;
 use kb::KnowledgeBase;
+use sdd::eval::SddEval;
 use sentential_core::Compiler;
+use std::sync::Arc;
 use vtree::VarId;
 
 /// Variables the deep test runs (the acceptance bar: ≥ 100k on a default
@@ -130,6 +133,9 @@ fn chain_session_matches_exact_rationals_and_oracle_at_small_scale() {
     }
     let evidence = (VarId(n / 2), true);
     kb.condition(&[evidence]).unwrap();
+    let root = kb.root();
+    let frozen = Arc::new(kb.freeze());
+    let mut s = frozen.session();
 
     // Oracle weights under the evidence.
     let lw: Vec<(f64, f64)> = (0..n)
@@ -145,15 +151,14 @@ fn chain_session_matches_exact_rationals_and_oracle_at_small_scale() {
     let (log_z, oracle_marginals, oracle_best) = chain_oracle(&lw);
 
     // The serving layer's answers, collected first (queries take &mut).
-    let lnw = kb.log_weight();
-    let marginals = kb.all_marginals().unwrap();
-    let mpe = kb.mpe().unwrap();
-    let top = kb.enumerate_models(3);
+    let lnw = s.log_weight();
+    let marginals = s.all_marginals().unwrap();
+    let mpe = s.mpe().unwrap();
+    let top = s.enumerate_models(3);
 
     // Exact rational anchor: the same session weights as exact rationals,
     // prior(i) = 0.15 + 0.07·((13i) mod 10) = (15 + 7·((13i) mod 10))/100.
-    let compiled = kb.sdd();
-    let root = kb.root();
+    let compiled = frozen.sdd();
     let p_rat = |i: u32| {
         Rational::from_ratio(
             BigUint::from_u64(15 + 7 * ((i as u64 * 13) % 10)),
@@ -234,15 +239,43 @@ fn chain_session_matches_exact_rationals_and_oracle_at_small_scale() {
 }
 
 /// The acceptance bar: a 100k-variable chain knowledge-base session —
-/// compile, condition, all_marginals, mpe, enumerate_models — completes
-/// on the harness's default-size thread, answers matching the O(n)
-/// oracle. Before the worklist rewrite every stage of this overflowed an
-/// 8 MB stack (the engines recursed to vtree depth ≈ 100k).
+/// compile, restrict, condition, freeze, all_marginals, mpe,
+/// enumerate_models — completes on the harness's default-size thread,
+/// answers matching the O(n) oracle. Before the worklist rewrite every
+/// stage of this overflowed an 8 MB stack (the engines recursed to vtree
+/// depth ≈ 100k).
 #[test]
 fn hundred_thousand_variable_session_on_a_default_stack() {
     let n = DEEP_N;
     let f = families::chain_cnf(n);
-    let mut kb = KnowledgeBase::compile_cnf(&serving_compiler(), &f).expect("compiles at 100k");
+    let mut c = serving_compiler()
+        .compile_cnf(&f)
+        .expect("compiles at 100k");
+    let evidence = (VarId(n / 2), true);
+
+    // The restriction engine (`SddManager::condition`) at full depth: the
+    // cofactor `F | x = 1` no longer mentions x, so under counting weights
+    // its log count is the oracle's pinned log count plus the smoothing
+    // factor ln 2 of the freed variable.
+    let restricted = c.sdd.condition(c.root, evidence.0, evidence.1);
+    let ln_restricted = c.sdd.evaluate(restricted, &LogF64, |_, _| 0.0);
+    let pinned_counts: Vec<(f64, f64)> = (0..n)
+        .map(|i| {
+            if i == evidence.0 .0 {
+                (f64::NEG_INFINITY, 0.0)
+            } else {
+                (0.0, 0.0)
+            }
+        })
+        .collect();
+    let (ln_pinned, _, _) = chain_oracle(&pinned_counts);
+    let expect = ln_pinned + std::f64::consts::LN_2;
+    assert!(
+        (ln_restricted - expect).abs() < 1e-9 * expect,
+        "restricted log count {ln_restricted} vs oracle {expect}"
+    );
+
+    let mut kb = KnowledgeBase::from_cnf_compilation(c, &f).expect("unweighted formula");
     assert_eq!(kb.vars().len(), n as usize);
 
     // Weight a scattered handful of variables (each update walks one
@@ -251,9 +284,10 @@ fn hundred_thousand_variable_session_on_a_default_stack() {
     for &i in &weighted {
         kb.set_probability(VarId(i), prior(i)).unwrap();
     }
-    let evidence = (VarId(n / 2), true);
     kb.condition(&[evidence]).unwrap();
-    assert!(kb.is_consistent());
+    let frozen = Arc::new(kb.freeze());
+    let mut s = frozen.session();
+    assert!(s.is_consistent());
 
     // The oracle's weight table under the same session state.
     let lw: Vec<(f64, f64)> = (0..n)
@@ -274,7 +308,7 @@ fn hundred_thousand_variable_session_on_a_default_stack() {
     let (log_z, oracle_marginals, oracle_best) = chain_oracle(&lw);
 
     // Weighted count of the conditioned session, in log space.
-    let lnw = kb.log_weight();
+    let lnw = s.log_weight();
     assert!(lnw.is_finite());
     assert!(
         (lnw - log_z).abs() < 1e-6 * log_z.abs().max(1.0),
@@ -282,7 +316,7 @@ fn hundred_thousand_variable_session_on_a_default_stack() {
     );
 
     // All 100k posterior marginals in one two-pass sweep.
-    let marginals = kb.all_marginals().unwrap();
+    let marginals = s.all_marginals().unwrap();
     assert_eq!(marginals.len(), n as usize);
     let pinned_idx = (n / 2) as usize;
     assert!(
@@ -302,7 +336,7 @@ fn hundred_thousand_variable_session_on_a_default_stack() {
     // MPE: the argmax sweep plus its internally verified witness (the
     // witness is checked against the compiled SDD, the evidence, and its
     // own weight inside mpe()).
-    let mpe = kb.mpe().unwrap();
+    let mpe = s.mpe().unwrap();
     assert!(
         (mpe.log_weight - oracle_best).abs() < 1e-6 * oracle_best.abs().max(1.0),
         "mpe {} vs oracle {oracle_best}",
@@ -312,7 +346,7 @@ fn hundred_thousand_variable_session_on_a_default_stack() {
     assert!(f.eval(&mpe.assignment), "MPE witness satisfies the formula");
 
     // Top-k enumeration at depth: distinct models, sorted, top-1 = MPE.
-    let top = kb.enumerate_models(2);
+    let top = s.enumerate_models(2);
     assert_eq!(top.len(), 2);
     assert!(
         (top[0].log_weight - mpe.log_weight).abs() < 1e-9,
@@ -326,13 +360,12 @@ fn hundred_thousand_variable_session_on_a_default_stack() {
     assert!(f.eval(&top[1].assignment));
 }
 
-/// The frozen half of the acceptance bar: the same 100k-variable chain
-/// session served through `freeze()` → `FrozenKb::session()` on the
-/// default test thread, every answer **bit-identical** to the mutable
-/// path captured just before the freeze, plus a copy-on-write `branch()`
-/// driving the overlay apply machinery at full depth.
+/// Session-local evidence at depth: a 100k-variable chain frozen with
+/// evidence baked in, then a session that queries, conditions further,
+/// decides entailment and retracts — every answer against the O(n)
+/// oracle, and the retract landing bit-for-bit on the frozen baseline.
 #[test]
-fn hundred_thousand_variable_frozen_session_on_a_default_stack() {
+fn hundred_thousand_variable_session_local_evidence_on_a_default_stack() {
     let n = DEEP_N;
     let f = families::chain_cnf(n);
     let mut kb = KnowledgeBase::compile_cnf(&serving_compiler(), &f).expect("compiles at 100k");
@@ -340,47 +373,69 @@ fn hundred_thousand_variable_frozen_session_on_a_default_stack() {
     for &i in &weighted {
         kb.set_probability(VarId(i), prior(i)).unwrap();
     }
-    kb.condition(&[(VarId(n / 2), true)]).unwrap();
-
-    // The mutable path's answers, captured before the freeze consumes it…
-    let lnw = kb.log_weight();
-    let marginals = kb.all_marginals().unwrap();
-    let mpe = kb.mpe().unwrap();
-
-    // …must reappear bit-for-bit through the frozen slab.
-    let frozen = std::sync::Arc::new(kb.freeze());
+    let frozen_lit = (VarId(n / 2), true);
+    kb.condition(&[frozen_lit]).unwrap();
+    let frozen = Arc::new(kb.freeze());
     let mut s = frozen.session();
-    assert_eq!(s.log_weight().to_bits(), lnw.to_bits());
-    let frozen_marginals = s.all_marginals().unwrap();
-    assert_eq!(frozen_marginals.len(), marginals.len());
-    for (&(v, a), &(w, b)) in marginals.iter().zip(&frozen_marginals) {
-        assert_eq!(v, w);
-        assert_eq!(a.to_bits(), b.to_bits(), "marginal {v} diverged");
-    }
-    let frozen_mpe = s.mpe().unwrap();
-    assert_eq!(frozen_mpe.log_weight.to_bits(), mpe.log_weight.to_bits());
-    assert_eq!(frozen_mpe.assignment, mpe.assignment);
 
-    // Session-local evidence at depth, then back to the frozen baseline.
-    let extra = (VarId(3), true);
+    // Oracle tables: the frozen evidence alone, then with x3 = 0 added.
+    let table = |extra: Option<(VarId, bool)>| -> Vec<(f64, f64)> {
+        (0..n)
+            .map(|i| {
+                let (mut wn, mut wp) = if weighted.contains(&i) {
+                    let p = prior(i);
+                    ((1.0 - p).ln(), p.ln())
+                } else {
+                    (0.0, 0.0)
+                };
+                for (v, b) in [Some(frozen_lit), extra].into_iter().flatten() {
+                    if v.0 == i {
+                        if b {
+                            wn = f64::NEG_INFINITY;
+                        } else {
+                            wp = f64::NEG_INFINITY;
+                        }
+                    }
+                }
+                (wn, wp)
+            })
+            .collect()
+    };
+    let (log_z, oracle_marginals, _) = chain_oracle(&table(None));
+    let baseline = s.log_weight();
+    assert!((baseline - log_z).abs() < 1e-6 * log_z.abs().max(1.0));
+
+    // P(x3 = 0 | e) by the pin-evaluate-restore query.
+    let extra = (VarId(3), false);
     let posterior = s.query(&[extra]).unwrap();
+    let expect = 1.0 - oracle_marginals[3];
+    assert!(
+        (posterior - expect).abs() < 1e-9,
+        "session query {posterior} vs oracle {expect}"
+    );
+
+    // ¬x3 forces x2 and x4 (the chain forbids adjacent falses).
     s.condition(&[extra]).unwrap();
     assert!(s.is_consistent());
-    assert!(s.log_weight().is_finite());
-    s.retract();
-    assert_eq!(s.log_weight().to_bits(), lnw.to_bits());
-
-    // Copy-on-write branch: the mutable apply machinery over the overlay
-    // manager, still on the default stack, agreeing with the session's
-    // weight-space answer for the same evidence.
-    let mut branch = frozen.branch();
-    branch.condition(&[extra]).unwrap();
-    assert!(branch.is_consistent());
-    let branch_posterior = (branch.log_weight() - lnw).exp();
+    assert!(s.entails(&[(VarId(2), true)]).unwrap());
+    assert!(s.entails(&[(VarId(4), true)]).unwrap());
+    assert!(!s.entails(&[(VarId(5), true)]).unwrap());
+    let (log_z_extra, _, _) = chain_oracle(&table(Some(extra)));
+    let lnw = s.log_weight();
     assert!(
-        (posterior - branch_posterior).abs() < 1e-9,
-        "session query {posterior} vs branch posterior {branch_posterior}"
+        (lnw - log_z_extra).abs() < 1e-6 * log_z_extra.abs().max(1.0),
+        "conditioned log-weight {lnw} vs oracle {log_z_extra}"
     );
+    // ¬x3 ∧ ¬x4 has no model.
+    assert_eq!(
+        s.condition(&[(VarId(4), false)]),
+        Err(kb::KbError::Inconsistent)
+    );
+
+    // Back to the frozen baseline — not the unconditioned formula.
+    s.retract();
+    assert!(s.is_consistent());
+    assert_eq!(s.log_weight().to_bits(), baseline.to_bits());
 }
 
 /// The batched half of the acceptance bar: a full B = 16 evidence batch
@@ -400,7 +455,7 @@ fn sixteen_lane_batch_over_the_hundred_thousand_variable_kb() {
     for &i in &weighted {
         kb.set_probability(VarId(i), prior(i)).unwrap();
     }
-    let frozen = std::sync::Arc::new(kb.freeze());
+    let frozen = Arc::new(kb.freeze());
     let target = VarId(n / 2);
 
     // 16 single-literal evidence lanes scattered across the chain's full

@@ -1,19 +1,22 @@
 //! Concurrent-read stress: 8 threads over one frozen slab, every answer
-//! cross-checked **bit-for-bit** against the sequential mutable engine.
+//! cross-checked **bit-for-bit** against a sequential session and, through
+//! it, against brute-force enumeration.
 //!
 //! Each thread opens its own [`kb::KbSession`] on a shared
 //! [`kb::FrozenKb`], asserts a thread-specific evidence script, runs the
 //! full query menu, retracts, and repeats — while seven other threads do
 //! the same with *different* evidence over the very same `Arc`'d slab.
-//! The expected answers are computed up front on a sequential
-//! [`kb::KnowledgeBase`] running the identical scripts; every float is
-//! compared by bit pattern, every count by exact `BigUint` equality.
-//! This is the concurrency half of the freeze-and-serve contract (the
-//! compile-time `Send + Sync` half is asserted inside the crates).
+//! The expected answers are computed up front by one sequential session
+//! running the identical scripts, and those are anchored to brute-force
+//! enumeration over all `2^n` worlds (fixtures stay at 16 variables for
+//! that); every concurrent float is compared by bit pattern, every count
+//! by exact `BigUint` equality. This is the concurrency half of the
+//! freeze-and-serve contract (the compile-time `Send + Sync` half is
+//! asserted inside the crates).
 
 use arith::BigUint;
 use cnf::{families, CnfFormula};
-use kb::{KbSession, KnowledgeBase, Lit};
+use kb::{FrozenKb, KbSession, KnowledgeBase, Lit};
 use sentential_core::Compiler;
 use std::sync::Arc;
 use vtree::VarId;
@@ -27,12 +30,12 @@ fn prior(i: usize) -> f64 {
     0.2 + 0.6 * ((i * 7) % 10) as f64 / 10.0
 }
 
-fn build(f: &CnfFormula) -> KnowledgeBase {
+fn build(f: &CnfFormula) -> Arc<FrozenKb> {
     let mut kb = KnowledgeBase::compile_cnf(&Compiler::new(), f).expect("fixture compiles");
     for i in 0..f.num_vars() as usize {
         kb.set_probability(VarId(i as u32), prior(i)).unwrap();
     }
-    kb
+    Arc::new(kb.freeze())
 }
 
 /// Thread `t`'s evidence: one polarity-alternating pin plus one distant
@@ -60,35 +63,7 @@ struct Answers {
     entailed: bool,
 }
 
-/// The query menu under `evidence`, on the sequential mutable engine.
-fn answers_mut(kb: &mut KnowledgeBase, evidence: &[Lit], n: u32) -> Answers {
-    kb.condition(evidence).expect("scripts are consistent");
-    let out = Answers {
-        consistent: kb.is_consistent(),
-        log_weight: kb.log_weight().to_bits(),
-        prob_evidence: kb.probability_of_evidence().unwrap().to_bits(),
-        query: kb.query(&[(VarId(n - 1), true)]).unwrap().to_bits(),
-        marginals: kb
-            .all_marginals()
-            .unwrap()
-            .into_iter()
-            .map(|(_, m)| m.to_bits())
-            .collect(),
-        mpe_log_weight: kb.mpe().unwrap().log_weight.to_bits(),
-        mpe_bits: {
-            let m = kb.mpe().unwrap();
-            (0..n)
-                .map(|i| m.assignment.get(VarId(i)) == Some(true))
-                .collect()
-        },
-        count: kb.count_models(),
-        entailed: kb.entails(&[(VarId(0), true), (VarId(1), true)]).unwrap(),
-    };
-    kb.retract();
-    out
-}
-
-/// The same menu on a frozen session — same call sequence, same order.
+/// The query menu under `evidence` on one session, ending in a retract.
 fn answers_session(s: &mut KbSession, evidence: &[Lit], n: u32) -> Answers {
     s.condition(evidence).expect("scripts are consistent");
     let out = Answers {
@@ -116,23 +91,102 @@ fn answers_session(s: &mut KbSession, evidence: &[Lit], n: u32) -> Answers {
     out
 }
 
+/// Every world of `f` (bit `i` = variable `i`) satisfying `evidence`,
+/// with its weight under the fixture priors.
+fn brute_models(f: &CnfFormula, evidence: &[Lit]) -> Vec<(u64, f64)> {
+    let n = f.num_vars() as usize;
+    let bit = |mask: u64, v: VarId| mask >> v.0 & 1 == 1;
+    (0..1u64 << n)
+        .filter(|&m| {
+            f.clauses()
+                .iter()
+                .all(|c| c.iter().any(|&(v, b)| bit(m, v) == b))
+                && evidence.iter().all(|&(v, b)| bit(m, v) == b)
+        })
+        .map(|m| {
+            let w = (0..n)
+                .map(|i| {
+                    if m >> i & 1 == 1 {
+                        prior(i)
+                    } else {
+                        1.0 - prior(i)
+                    }
+                })
+                .product();
+            (m, w)
+        })
+        .collect()
+}
+
+/// Check one round's answers against brute-force enumeration.
+fn assert_matches_brute_force(label: &str, f: &CnfFormula, evidence: &[Lit], a: &Answers) {
+    let n = f.num_vars();
+    let total: f64 = brute_models(f, &[]).iter().map(|(_, w)| w).sum();
+    let models = brute_models(f, evidence);
+    let weight: f64 = models.iter().map(|(_, w)| w).sum();
+    let close = |got: u64, want: f64, what: &str| {
+        let got = f64::from_bits(got);
+        assert!(
+            (got - want).abs() <= 1e-9 * want.abs().max(1.0),
+            "{label} {evidence:?}: {what} {got} vs brute force {want}"
+        );
+    };
+    assert_eq!(a.consistent, !models.is_empty(), "{label}: consistency");
+    close(a.log_weight, weight.ln(), "log weight");
+    close(a.prob_evidence, weight / total, "P(e)");
+    let with = |v: u32| -> f64 {
+        models
+            .iter()
+            .filter(|&&(m, _)| m >> v & 1 == 1)
+            .map(|(_, w)| w)
+            .sum()
+    };
+    close(a.query, with(n - 1) / weight, "query");
+    for (i, &m) in a.marginals.iter().enumerate() {
+        close(m, with(i as u32) / weight, "marginal");
+    }
+    let best = models.iter().map(|(_, w)| *w).fold(0.0, f64::max);
+    close(a.mpe_log_weight, best.ln(), "mpe weight");
+    let witness = a
+        .mpe_bits
+        .iter()
+        .enumerate()
+        .fold(0u64, |m, (i, &b)| m | (b as u64) << i);
+    assert!(
+        models.iter().any(|&(m, w)| m == witness && w == best),
+        "{label} {evidence:?}: mpe witness is a heaviest model"
+    );
+    assert_eq!(
+        a.count,
+        BigUint::from_u64(models.len() as u64),
+        "{label}: count"
+    );
+    let entailed = models.iter().all(|&(m, _)| m & 0b11 != 0);
+    assert_eq!(a.entailed, entailed, "{label}: entails x0 ∨ x1");
+}
+
 #[test]
 fn eight_threads_over_one_slab_match_the_sequential_engine() {
     let fixtures: [(&str, CnfFormula); 2] = [
-        ("chain", families::chain_cnf(60)),
-        ("band_w3", families::band_cnf(30, 3)),
+        ("chain", families::chain_cnf(16)),
+        ("band_w3", families::band_cnf(16, 3)),
     ];
     for (label, f) in &fixtures {
         let n = f.num_vars();
-        // Sequential oracle: the mutable engine runs every thread's script.
-        let mut seq = build(f);
+        let frozen = build(f);
+        // Sequential reference: one session runs every thread's script,
+        // each round anchored to brute force.
+        let mut seq = frozen.session();
         let expected: Vec<Answers> = (0..THREADS)
-            .map(|t| answers_mut(&mut seq, &script(t, n), n))
+            .map(|t| {
+                let a = answers_session(&mut seq, &script(t, n), n);
+                assert_matches_brute_force(label, f, &script(t, n), &a);
+                a
+            })
             .collect();
 
         // 8 threads, one shared slab, private sessions — repeated rounds
         // so warm-cache answers are checked too, not just cold ones.
-        let frozen = Arc::new(build(f).freeze());
         std::thread::scope(|sc| {
             for (t, want) in expected.iter().enumerate() {
                 let frozen = &frozen;
@@ -143,7 +197,7 @@ fn eight_threads_over_one_slab_match_the_sequential_engine() {
                         let got = answers_session(&mut s, &ev, n);
                         assert_eq!(
                             &got, want,
-                            "{label}: thread {t} round {round} diverged from the sequential engine"
+                            "{label}: thread {t} round {round} diverged from the sequential session"
                         );
                     }
                 });

@@ -1,12 +1,12 @@
 //! Property tests for the knowledge-base serving layer (via the workspace
-//! proptest shim): every KB query is pinned against brute-force
+//! proptest shim): every session query is pinned against brute-force
 //! enumeration on kernel-sized random formulas, and the log-space carrier
 //! against the exact rational engine on the chain families.
 
 use arith::{LogF64, Rational};
 use boolfunc::Assignment;
 use cnf::{families, CnfFormula};
-use kb::{FrozenKb, KbError, KnowledgeBase, Lit};
+use kb::{FrozenKb, KbError, KbSession, KnowledgeBase, Lit};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -53,6 +53,11 @@ fn kb_of(f: &CnfFormula, probs: &[f64]) -> KnowledgeBase {
         kb.set_probability(VarId(i as u32), p).unwrap();
     }
     kb
+}
+
+/// A session over the frozen `kb_of(f, probs)`.
+fn session_of(f: &CnfFormula, probs: &[f64]) -> KbSession {
+    Arc::new(kb_of(f, probs).freeze()).session()
 }
 
 /// Weight of one complete assignment (bit `i` = variable `i`) under
@@ -110,10 +115,10 @@ proptest! {
     #[test]
     fn mpe_matches_brute_force(n in 2u32..=16, m in 0usize..20, seed: u64) {
         let (f, probs) = random_instance(n, m, seed);
-        let mut kb = kb_of(&f, &probs);
+        let mut s = session_of(&f, &probs);
         let models = brute_models(&f, &probs, &[]);
-        match kb.mpe() {
-            Err(KbError::Inconsistent) => prop_assert!(models.is_empty(), "KB says unsat"),
+        match s.mpe() {
+            Err(KbError::Inconsistent) => prop_assert!(models.is_empty(), "session says unsat"),
             Err(e) => panic!("unexpected error {e}"),
             Ok(mpe) => {
                 let best = models
@@ -136,10 +141,10 @@ proptest! {
     #[test]
     fn marginals_match_brute_force(n in 2u32..=16, m in 0usize..20, seed: u64) {
         let (f, probs) = random_instance(n, m, seed);
-        let mut kb = kb_of(&f, &probs);
+        let mut s = session_of(&f, &probs);
         let models = brute_models(&f, &probs, &[]);
         let total: f64 = models.iter().map(|(_, w)| w).sum();
-        match kb.all_marginals() {
+        match s.all_marginals() {
             Err(KbError::Inconsistent) => prop_assert!(models.is_empty()),
             Err(e) => panic!("unexpected error {e}"),
             Ok(marginals) => {
@@ -167,11 +172,11 @@ proptest! {
     #[test]
     fn enumeration_is_the_sorted_brute_force_prefix(n in 2u32..=12, m in 0usize..16, seed: u64) {
         let (f, probs) = random_instance(n, m, seed);
-        let mut kb = kb_of(&f, &probs);
+        let mut s = session_of(&f, &probs);
         let mut models = brute_models(&f, &probs, &[]);
         models.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
         let k = models.len().min(9) + 2;
-        let listed = kb.enumerate_models(k);
+        let listed = s.enumerate_models(k);
         prop_assert_eq!(listed.len(), models.len().min(k));
         let mut seen = std::collections::HashSet::new();
         for (rank, m) in listed.iter().enumerate() {
@@ -197,12 +202,12 @@ proptest! {
     }
 
     /// The chain rule on the serving layer: P(q ∧ e) = P(q | e) · P(e),
-    /// with P(q | e) read off a *conditioned* KB and both other factors
-    /// off the unconditioned one.
+    /// with P(q | e) read off a *conditioned* session and both other
+    /// factors off the unconditioned one.
     #[test]
     fn condition_then_count_is_consistent(n in 3u32..=14, m in 0usize..18, seed: u64) {
         let (f, probs) = random_instance(n, m, seed);
-        let mut kb = kb_of(&f, &probs);
+        let mut s = session_of(&f, &probs);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xE51D);
         let ev = (VarId(rng.gen_range(0..n)), rng.gen_bool(0.5));
         let qv = VarId((ev.0 .0 + 1 + rng.gen_range(0..n - 1)) % n);
@@ -210,18 +215,18 @@ proptest! {
         prop_assume!(q.0 != ev.0);
 
         // P(q ∧ e) and P(e) on the unconditioned base.
-        let p_q_and_e = kb.query(&[q, ev]);
-        let p_e = kb.query(&[ev]);
+        let p_q_and_e = s.query(&[q, ev]);
+        let p_e = s.query(&[ev]);
         let (Ok(p_q_and_e), Ok(p_e)) = (p_q_and_e, p_e) else {
             // Unsatisfiable formula: nothing to check.
             prop_assert!(brute_models(&f, &probs, &[]).is_empty());
             continue;
         };
         // P(q | e) on the conditioned base.
-        match kb.condition(&[ev]) {
+        match s.condition(&[ev]) {
             Err(KbError::Inconsistent) => {
                 prop_assert!(brute_models(&f, &probs, &[ev]).is_empty());
-                kb.retract();
+                s.retract();
                 continue;
             }
             Err(e) => panic!("unexpected error {e}"),
@@ -232,7 +237,7 @@ proptest! {
             // conditioned on numerically.
             continue;
         }
-        let p_q_given_e = kb.marginal(q.0).unwrap();
+        let p_q_given_e = s.marginal(q.0).unwrap();
         let p_q_given_e = if q.1 { p_q_given_e } else { 1.0 - p_q_given_e };
         prop_assert!(
             (p_q_and_e - p_q_given_e * p_e).abs() < 1e-9,
@@ -243,6 +248,72 @@ proptest! {
         let total: f64 = brute_models(&f, &probs, &[]).iter().map(|(_, w)| w).sum();
         let joint: f64 = brute_models(&f, &probs, &[q, ev]).iter().map(|(_, w)| w).sum();
         prop_assert!((p_q_and_e - joint / total).abs() < 1e-9);
+    }
+
+    /// The structural queries against brute force: `condition`'s verdict,
+    /// `is_consistent`, exact `count_models` and clause `entails` under
+    /// random session evidence (contradicted evidence included), over
+    /// clauses built to hit every case the pin arithmetic must get right —
+    /// a literal the evidence satisfies, a complementary pair, a duplicate
+    /// literal, the empty clause, and plain random clauses.
+    #[test]
+    fn structural_queries_match_brute_force(n in 2u32..=14, m in 0usize..18, seed: u64) {
+        let (f, probs) = random_instance(n, m, seed);
+        let mut s = session_of(&f, &probs);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x57C7);
+        let lit = |rng: &mut StdRng| (VarId(rng.gen_range(0..n)), rng.gen_bool(0.5));
+        let mut evidence: Vec<Lit> = (0..rng.gen_range(0..=3usize)).map(|_| lit(&mut rng)).collect();
+        if rng.gen_bool(0.25) {
+            // Contradicted evidence: both polarities of one variable.
+            let (v, b) = lit(&mut rng);
+            evidence.extend([(v, b), (v, !b)]);
+        }
+        let models = brute_models(&f, &probs, &evidence);
+
+        let verdict = s.condition(&evidence);
+        prop_assert_eq!(verdict.is_ok(), !models.is_empty(), "condition verdict");
+        if let Err(e) = verdict {
+            prop_assert_eq!(e, KbError::Inconsistent);
+        }
+        prop_assert_eq!(s.is_consistent(), !models.is_empty());
+        prop_assert_eq!(s.count_models().to_u128(), Some(models.len() as u128));
+
+        let random_clause = |rng: &mut StdRng| -> Vec<Lit> {
+            (0..rng.gen_range(1..=3usize)).map(|_| lit(rng)).collect()
+        };
+        let mut clauses: Vec<Vec<Lit>> = vec![Vec::new()];
+        for _ in 0..4 {
+            clauses.push(random_clause(&mut rng));
+        }
+        // A literal the evidence satisfies: alone, and among others.
+        if let Some(&e) = evidence.first() {
+            clauses.push(vec![e]);
+            let mut c = random_clause(&mut rng);
+            c.insert(rng.gen_range(0..=c.len()), e);
+            clauses.push(c);
+        }
+        // A complementary pair inside a clause.
+        let (v, b) = lit(&mut rng);
+        let mut c = random_clause(&mut rng);
+        c.extend([(v, b), (v, !b)]);
+        clauses.push(c);
+        // A duplicate literal.
+        let mut c = random_clause(&mut rng);
+        c.push(c[0]);
+        clauses.push(c);
+
+        for clause in &clauses {
+            let holds = models.iter().all(|&(mask, _)| {
+                clause.iter().any(|&(v, b)| (mask >> v.0 & 1 == 1) == b)
+            });
+            prop_assert_eq!(
+                s.entails(clause),
+                Ok(holds),
+                "entails {:?} under evidence {:?}", clause, evidence
+            );
+        }
+        // Entailment pins are temporary: the evidence posture is intact.
+        prop_assert_eq!(s.count_models().to_u128(), Some(models.len() as u128));
     }
 }
 

@@ -181,18 +181,28 @@ fn empty_and_garbage_inputs_are_typed() {
     assert!(FrozenKb::load(bytes.as_slice()).is_err());
 }
 
-/// The loaded base is fully serviceable as a branching base too: reopening
-/// a mutable overlay and asserting fresh evidence works on top of a loaded
-/// slab exactly as on a frozen one.
+/// The loaded base is fully serviceable: a session on it asserts fresh
+/// evidence on top of the frozen pin and counts exactly the brute-force
+/// models, and a second save/load generation changes nothing.
 #[test]
-fn loaded_kb_branches_and_reconditions() {
+fn loaded_kb_reconditions_against_brute_force() {
+    let (f, _) = random_instance(8, 10, 42);
     let kb = frozen_instance(8, 10, 42);
     let loaded = Arc::new(FrozenKb::load(save(&kb).as_slice()).unwrap());
-    let mut branch = loaded.branch();
-    let before = branch.count_models();
-    if branch.condition(&[(VarId(2), true)]).is_ok() {
-        assert!(branch.count_models() <= before);
-    }
+    let count = |evidence: &[(VarId, bool)]| {
+        let vars = boolfunc::VarSet::from_slice(&f.all_vars());
+        (0..1u64 << 8)
+            .map(|i| boolfunc::Assignment::from_index(&vars, i))
+            .filter(|a| f.eval(a) && evidence.iter().all(|&(v, b)| a.get(v) == Some(b)))
+            .count() as u128
+    };
+    let mut evidence = loaded.evidence().to_vec();
+    let mut s = loaded.session();
+    assert_eq!(s.count_models().to_u128(), Some(count(&evidence)));
+    let fresh = (VarId(2), true);
+    evidence.push(fresh);
+    assert_eq!(s.condition(&[fresh]).is_ok(), count(&evidence) > 0);
+    assert_eq!(s.count_models().to_u128(), Some(count(&evidence)));
     // A second generation survives: save the loaded KB again and reload.
     let again = Arc::new(FrozenKb::load(save(&loaded).as_slice()).unwrap());
     assert_bit_identical(&loaded, &again);

@@ -177,16 +177,18 @@ impl QueryCompiler {
         })
     }
 
-    /// Compile `q`'s lineage over `db` **once** and hand back a
-    /// [`kb::KnowledgeBase`] serving it: each variable is one tuple,
-    /// weighted by its marginal probability, so the probabilistic-database
-    /// layer gets conditioning ("given that this tuple is (not) in the
-    /// database…"), posterior tuple marginals, MPE ("the most probable
-    /// world where the query holds"), and top-k world enumeration for free
-    /// — repeated queries never recompile the lineage.
+    /// Compile `q`'s lineage over `db` **once** and hand back the
+    /// [`kb::KnowledgeBase`] builder for it: each variable is one tuple,
+    /// weighted by its marginal probability. Freeze the builder and open
+    /// [`kb::KbSession`]s, and the probabilistic-database layer gets
+    /// conditioning ("given that this tuple is (not) in the database…"),
+    /// posterior tuple marginals, MPE ("the most probable world where the
+    /// query holds"), and top-k world enumeration for free — repeated
+    /// queries never recompile the lineage.
     ///
-    /// The knowledge base's `log_weight` is `ln P(Q)`; conditioning on
-    /// tuples and re-reading it answers `P(Q | evidence)` directly.
+    /// A session's `log_weight` is `ln P(Q)`; conditioning it on tuples
+    /// and re-reading it answers `ln P(Q ∧ evidence)`, and
+    /// `probability_of_evidence` the ratio `P(Q ∧ evidence) / P(Q)`.
     ///
     /// Errors with [`QueryCompileError::ConstantLineage`] when no tuple
     /// influences the query (nothing to serve — the probability is 0 or 1).
@@ -293,13 +295,15 @@ mod tests {
     fn knowledge_base_serves_the_lineage_without_recompiling() {
         let (q, db) = hierarchical_db();
         let brute = prob::brute_force_probability(&q, &db);
-        let mut base = QueryCompiler::new().knowledge_base(&q, &db).unwrap();
+        let base = QueryCompiler::new().knowledge_base(&q, &db).unwrap();
+        let t = base.vars()[0];
+        let frozen = std::sync::Arc::new(base.freeze());
+        let mut s = frozen.session();
         // ln W(lineage) = ln P(Q).
-        assert!((base.weighted_count() - brute).abs() < 1e-10);
+        assert!((s.weighted_count() - brute).abs() < 1e-10);
 
         // Condition on the first tuple being present: compare against the
         // brute-force P(Q ∧ t) over all worlds containing t.
-        let t = base.vars()[0];
         let brute_with_t = {
             use crate::schema::TupleId;
             let n = db.num_tuples();
@@ -320,23 +324,23 @@ mod tests {
             }
             total
         };
-        base.condition(&[(t, true)]).unwrap();
-        let conditional = base.probability_of_evidence().unwrap();
-        // P(e) here is P(t) itself; P(Q | t) = W(Q ∧ t) / W(t)… the KB's
-        // weighted count is W(Q ∧ t), so compare against P(Q ∧ t).
+        s.condition(&[(t, true)]).unwrap();
+        let conditional = s.probability_of_evidence().unwrap();
+        // The session's weighted count is W(Q ∧ t) = P(Q ∧ t), and P(e)
+        // is its share of the prior weight W(Q) = P(Q).
         assert!(
-            (base.weighted_count() - brute_with_t).abs() < 1e-10,
+            (s.weighted_count() - brute_with_t).abs() < 1e-10,
             "{} vs {brute_with_t}",
-            base.weighted_count()
+            s.weighted_count()
         );
         assert!((conditional - brute_with_t / brute).abs() < 1e-10);
 
         // MPE: the most probable world where the query holds.
-        let mpe = base.mpe().unwrap();
+        let mpe = s.mpe().unwrap();
         assert_eq!(mpe.assignment.get(t), Some(true));
 
-        base.retract();
-        assert!((base.weighted_count() - brute).abs() < 1e-10);
+        s.retract();
+        assert!((s.weighted_count() - brute).abs() < 1e-10);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! * [`SddManager::weighted_count`] / [`SddManager::probability`] —
 //!   `arith::F64`: the fast approximate path.
 //!
-//! For the compile-once/serve-many regime (`kb::KnowledgeBase`), the
+//! For the compile-once/serve-many regime (`kb::KbSession`), the
 //! one-shot traversal is the wrong shape: every query re-walks the whole
 //! diagram even when only one variable's weight moved. [`EvalCache`] is the
 //! incremental form of the same engine — per-node values carry **epoch
@@ -321,14 +321,14 @@ impl<M: SddRead + ?Sized, S: Semiring> Evaluator<'_, M, S> {
     }
 
     /// `⊗ (w⁻ ⊕ w⁺)` over the variables below `scope` but not below
-    /// `target`: the vtree's [`Vtree::branched_away`] walk, multiplying
+    /// `target`: the vtree's [`Vtree::gap_subtrees`] walk, multiplying
     /// the gap of every subtree branched away from. Division-free, so it
     /// is valid in any semiring (the old `f64` engine divided smoothing
     /// products back out, which has no rational/BigUint analogue at zero
     /// weights).
     fn smoothing(&self, scope: VtreeNodeId, target: VtreeNodeId) -> S::Elem {
         let mut acc = self.semiring.one();
-        self.mgr.vtree().branched_away(scope, target, |t| {
+        self.mgr.vtree().gap_subtrees(scope, target, |t| {
             acc = self.semiring.mul(&acc, &self.gap[t.index()]);
         });
         acc
@@ -692,7 +692,7 @@ impl<S: Semiring> EvalCache<S> {
         target: VtreeNodeId,
     ) -> S::Elem {
         let mut acc = self.semiring.one();
-        mgr.vtree().branched_away(scope, target, |t| {
+        mgr.vtree().gap_subtrees(scope, target, |t| {
             acc = self.semiring.mul(&acc, self.gap_of(t));
         });
         acc
@@ -926,7 +926,7 @@ impl<S: LaneSemiring> EvalLanes<S> {
         out: &mut [S::Elem],
     ) {
         self.semiring.one_fill(out);
-        mgr.vtree().branched_away(scope, target, |t| {
+        mgr.vtree().gap_subtrees(scope, target, |t| {
             self.semiring.mul_assign_lanes(out, self.gap_col(t));
         });
     }

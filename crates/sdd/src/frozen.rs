@@ -3,30 +3,21 @@
 //! A compiled SDD is worth amortizing across many queries (and many
 //! threads), but [`SddManager`] is mutable — its caches and arena move
 //! under apply traffic, so a manager can serve exactly one thread.
-//! [`SddManager::freeze`] ends the mutable phase: the node table, element
-//! arena, negation array and unique table become plain owned slabs in a
-//! [`FrozenSdd`], which is `Send + Sync` and shared via `Arc`. Freezing a
-//! standalone manager is **zero-copy** (the vectors move into boxed
-//! slices; node ids, arena offsets and the manager [`uid`](FrozenSdd::uid)
-//! are all unchanged, so `SddId`s and bound `EvalCache`s stay valid).
-//!
-//! Conditioning and other structural work on a frozen base goes through
-//! [`FrozenSdd::branch`]: a **copy-on-write overlay manager** whose
-//! extension vectors intern new nodes on top of the shared slab. The
-//! branch memcpys only the lookup structures (unique table, negation
-//! array, literal cache — all id-valued, and ids are global), never the
-//! slab itself; it draws a fresh uid because it is a different id-space
-//! extension. Freezing a branch flattens base + extension into a new
-//! standalone slab.
+//! [`SddManager::freeze`] ends the mutable phase for good: the node table,
+//! element arena and negation array become plain owned slabs in a
+//! [`FrozenSdd`], which is `Send + Sync` and shared via `Arc`. Freezing is
+//! **zero-copy** (the vectors move into boxed slices; node ids, arena
+//! offsets and the manager [`uid`](FrozenSdd::uid) are all unchanged, so
+//! `SddId`s and bound `EvalCache`s stay valid). The interning tables
+//! (unique table, literal cache) and the apply memos are dropped: a slab
+//! is only ever read, never extended.
 
-use crate::{next_uid, ApplyStats, IntCache, SddId, SddManager, SddNode, SddRead, UniqueTable};
+use crate::{SddId, SddManager, SddNode, SddRead};
 use std::ops::Range;
 use std::sync::Arc;
-use vtree::fxhash::FxHashMap;
-use vtree::{VarId, Vtree};
+use vtree::Vtree;
 
-/// An immutable SDD slab: every node and element of a finished manager,
-/// plus the lookup tables a future [`FrozenSdd::branch`] reopens from.
+/// An immutable SDD slab: every node and element of a finished manager.
 /// `Send + Sync`; share it with `Arc` and evaluate from any number of
 /// threads through [`SddRead`] (e.g. `eval::EvalCache` instances, one per
 /// thread, all bound to this slab's uid).
@@ -34,13 +25,9 @@ pub struct FrozenSdd {
     pub(crate) vtree: Arc<Vtree>,
     pub(crate) nodes: Box<[SddNode]>,
     pub(crate) arena: Box<[(SddId, SddId)]>,
-    /// Negation array (node-indexed, `EMPTY_SLOT` = unknown) — reopened by
-    /// branches so complement shortcuts survive the freeze.
+    /// Negation array (node-indexed, `EMPTY_SLOT` = unknown) — carried
+    /// because the snapshot format persists it.
     pub(crate) neg: Box<[u32]>,
-    /// The unique table at freeze time — reopened by branches so overlay
-    /// interning finds every base node.
-    pub(crate) unique: UniqueTable,
-    pub(crate) lit_cache: FxHashMap<(VarId, bool), SddId>,
     pub(crate) uid: u64,
 }
 
@@ -55,79 +42,22 @@ fn frozen_sdd_is_send_sync() {
 
 impl SddManager {
     /// End the mutable phase: turn this manager into an immutable
-    /// [`FrozenSdd`] slab.
-    ///
-    /// For a standalone manager this is zero-copy — the vectors move into
-    /// boxed slices, and node ids, arena offsets and [`SddManager::uid`]
-    /// are unchanged (an `EvalCache` created against this manager keeps
-    /// working against the slab). For an overlay manager (a
-    /// [`FrozenSdd::branch`]) the shared base and the extension are
-    /// flattened into one new standalone slab; ids are global on both
-    /// sides, so flattening is a plain concatenation and the stored
-    /// unique-table hashes stay valid.
+    /// [`FrozenSdd`] slab. Zero-copy — the vectors move into boxed slices,
+    /// and node ids, arena offsets and [`SddManager::uid`] are unchanged
+    /// (an `EvalCache` created against this manager keeps working against
+    /// the slab).
     pub fn freeze(self) -> FrozenSdd {
-        match self.base {
-            None => FrozenSdd {
-                vtree: self.vtree,
-                nodes: self.nodes.into_boxed_slice(),
-                arena: self.arena.into_boxed_slice(),
-                neg: self.neg_cache.into_boxed_slice(),
-                unique: self.unique,
-                lit_cache: self.lit_cache,
-                uid: self.uid,
-            },
-            Some(base) => {
-                let mut nodes = Vec::with_capacity(base.nodes.len() + self.nodes.len());
-                nodes.extend_from_slice(&base.nodes);
-                nodes.extend(self.nodes);
-                let mut arena = Vec::with_capacity(base.arena.len() + self.arena.len());
-                arena.extend_from_slice(&base.arena);
-                arena.extend(self.arena);
-                FrozenSdd {
-                    vtree: self.vtree,
-                    nodes: nodes.into_boxed_slice(),
-                    arena: arena.into_boxed_slice(),
-                    // The overlay's negation array is already full-length
-                    // and global-indexed (branch copies the base's).
-                    neg: self.neg_cache.into_boxed_slice(),
-                    unique: self.unique,
-                    lit_cache: self.lit_cache,
-                    uid: self.uid,
-                }
-            }
+        FrozenSdd {
+            vtree: self.vtree,
+            nodes: self.nodes.into_boxed_slice(),
+            arena: self.arena.into_boxed_slice(),
+            neg: self.neg_cache.into_boxed_slice(),
+            uid: self.uid,
         }
     }
 }
 
 impl FrozenSdd {
-    /// Reopen this slab as a copy-on-write overlay [`SddManager`]: apply /
-    /// negate / condition intern *new* nodes into the manager's extension
-    /// vectors while every existing node resolves into the shared slab —
-    /// the base is never written. Cheap: the slab is shared by `Arc`, and
-    /// only the id-valued lookup structures (unique table, negation array,
-    /// literal cache) are copied. The branch has a fresh
-    /// [`SddManager::uid`] — caches bound to the base must not serve an
-    /// extension whose ids the base does not know.
-    pub fn branch(self: &Arc<Self>) -> SddManager {
-        SddManager {
-            vtree: Arc::clone(&self.vtree),
-            base_nodes: self.nodes.len() as u32,
-            base_elems: self.arena.len() as u32,
-            nodes: Vec::new(),
-            arena: Vec::new(),
-            lit_cache: self.lit_cache.clone(),
-            unique: self.unique.clone(),
-            apply_cache: IntCache::new(),
-            neg_cache: self.neg.to_vec(),
-            lca_cache: IntCache::new(),
-            scratch: Vec::new(),
-            frame_pool: Vec::new(),
-            stats: ApplyStats::default(),
-            uid: next_uid(),
-            base: Some(Arc::clone(self)),
-        }
-    }
-
     /// The slab's vtree.
     pub fn vtree(&self) -> &Vtree {
         &self.vtree
@@ -180,21 +110,14 @@ impl FrozenSdd {
     }
 
     /// Resident bytes of the slab: node table, element arena, negation
-    /// array, unique table, literal cache — the same accounting as
-    /// [`SddManager::memory_bytes`] minus the mutable-phase caches, so
-    /// `mem_bytes` metrics stay comparable pre/post freeze (slices are
-    /// exact-length, so a freeze typically reports slightly *less* than
-    /// the manager's capacity-based estimate).
+    /// array — the same accounting as [`SddManager::memory_bytes`] minus
+    /// the mutable-phase interning tables and caches, so a freeze reports
+    /// *less* than the manager it came from.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         self.nodes.len() * size_of::<SddNode>()
             + self.arena.len() * size_of::<(SddId, SddId)>()
             + self.neg.len() * size_of::<u32>()
-            + self.unique.slots.len() * size_of::<(u64, u32)>()
-            + self
-                .lit_cache
-                .capacity()
-                .saturating_mul(size_of::<((VarId, bool), SddId)>() + 1)
     }
 }
 
@@ -261,67 +184,6 @@ mod tests {
             assert_eq!(frozen.eval(r, &asg), f.eval(&asg));
         }
         assert!(frozen.memory_bytes() > 0);
-    }
-
-    #[test]
-    fn branch_interns_on_top_without_touching_the_base() {
-        let (m, r, f) = compiled(6, 21);
-        let base_nodes = m.num_allocated();
-        let frozen = Arc::new(m.freeze());
-        let mut br = frozen.branch();
-        assert_ne!(br.uid(), frozen.uid(), "a branch is a new id space");
-        // Conditioning in the branch: base ids stay valid, new nodes get
-        // ids past the base mark.
-        let c = br.condition(r, VarId(0), true);
-        let expect = f.restrict(VarId(0), true);
-        assert!(br.to_boolfn(c).equivalent(&expect));
-        assert_eq!(frozen.num_allocated(), base_nodes, "base untouched");
-        assert_eq!(br.num_allocated() - br.nodes.len(), base_nodes);
-        // Canonicity across the overlay: rebuilding a base function must
-        // return the original base id, not a duplicate extension node.
-        let r2 = br.from_boolfn(&f);
-        assert_eq!(r2, r, "unique table reopened — base nodes are found");
-    }
-
-    #[test]
-    fn branch_negation_and_apply_agree_with_a_standalone_manager() {
-        let (m, r, f) = compiled(6, 22);
-        let frozen = Arc::new(m.freeze());
-        let mut br = frozen.branch();
-        let nr = br.negate(r);
-        assert!(br.to_boolfn(nr).equivalent(&f.not()));
-        let x = br.literal(VarId(2), true);
-        let g = br.and(r, x);
-        let expect = f.and(&BoolFn::literal(VarId(2), true));
-        assert!(br.to_boolfn(g).equivalent(&expect));
-        // Two branches off one base are independent.
-        let mut br2 = frozen.branch();
-        let c2 = br2.condition(r, VarId(1), false);
-        assert!(br2.to_boolfn(c2).equivalent(&f.restrict(VarId(1), false)));
-    }
-
-    #[test]
-    fn freezing_a_branch_flattens_to_a_standalone_slab() {
-        let (m, r, f) = compiled(5, 23);
-        let frozen = Arc::new(m.freeze());
-        let mut br = frozen.branch();
-        let c = br.condition(r, VarId(3), true);
-        let flat = Arc::new(br.freeze());
-        assert!(flat.num_allocated() >= frozen.num_allocated());
-        // Both the base root and the branch-built node live in the flat slab.
-        let vs = VarSet::from_slice(&vars(5));
-        let expect = f.restrict(VarId(3), true);
-        for idx in 0..(1u64 << 5) {
-            let asg = boolfunc::Assignment::from_index(&vs, idx);
-            assert_eq!(flat.eval(r, &asg), f.eval(&asg));
-            assert_eq!(flat.eval(c, &asg), expect.eval(&asg));
-        }
-        // And the flat slab branches again (chains of freeze/branch).
-        let mut br2 = flat.branch();
-        let cc = br2.condition(c, VarId(0), false);
-        assert!(br2
-            .to_boolfn(cc)
-            .equivalent(&expect.restrict(VarId(0), false)));
     }
 
     #[test]

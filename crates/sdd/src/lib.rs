@@ -58,16 +58,12 @@
 //! variable count.
 //!
 //! **Freeze-and-serve.** [`SddManager::freeze`] turns a finished manager
-//! into an immutable [`FrozenSdd`] — the node table, element arena,
-//! negation array and unique table as plain slabs, `Send + Sync`, shared
-//! across threads via `Arc` (module [`frozen`]). Everything read-only is
-//! abstracted by the [`SddRead`] trait, so evaluation (one-shot and
-//! [`eval::EvalCache`]) runs unchanged over managers and frozen slabs.
-//! [`FrozenSdd::branch`] reopens a frozen base as a copy-on-write
-//! **overlay manager**: new nodes intern on top of the shared slab (ids
-//! and arena offsets continue the frozen id space), nothing in the base is
-//! ever written, and `freeze`-ing a branch flattens base + extension into
-//! a new standalone slab.
+//! into an immutable [`FrozenSdd`] — the node table, element arena and
+//! negation array as plain slabs, `Send + Sync`, shared across threads via
+//! `Arc` (module [`frozen`]). Everything read-only is abstracted by the
+//! [`SddRead`] trait, so evaluation (one-shot and [`eval::EvalCache`])
+//! runs unchanged over managers and frozen slabs. Freezing ends the
+//! structural phase for good: a slab is never reopened for apply.
 
 pub mod eval;
 pub mod frozen;
@@ -175,9 +171,9 @@ fn decision_hash(vnode: VtreeNodeId, elems: &[(SddId, SddId)]) -> u64 {
 
 /// Counters over a manager's lifetime, reported by [`SddManager::apply_stats`].
 /// Compilation sessions (see `sentential_core::Compiler`) surface these in
-/// their reports to show how much work the apply route did; serving
-/// sessions (`kb::KnowledgeBase`) snapshot them per query via
-/// [`ApplyStats::delta_since`] so reports don't accumulate across a session.
+/// their reports to show how much work the apply route did;
+/// [`ApplyStats::delta_since`] isolates one stage's share of a manager's
+/// lifetime counters.
 #[must_use]
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct ApplyStats {
@@ -230,11 +226,9 @@ impl ApplyStats {
 /// registry hash-table crates). Slots hold `(precomputed hash, node id)`;
 /// empty slots carry [`EMPTY_SLOT`]. Lookups compare candidates against the
 /// interned nodes' arena slices in place — the table owns **no** keys, so a
-/// decision's elements exist exactly once, in the arena.
-/// `Clone` is the copy-on-write branch path: an overlay manager starts
-/// from a memcpy of its frozen base's table (hashes and ids are global,
-/// so the clone serves lookups against the shared slab unchanged).
-#[derive(Clone)]
+/// decision's elements exist exactly once, in the arena. The table lives
+/// only as long as the mutable manager: [`SddManager::freeze`] drops it,
+/// because a frozen slab never interns again.
 struct UniqueTable {
     /// Power-of-two slot array.
     slots: Box<[(u64, u32)]>,
@@ -254,7 +248,7 @@ impl UniqueTable {
     }
 
     /// Home slot of a decision hash in a table of `mask + 1` slots — the
-    /// one slot function of every probe, growth and snapshot rebuild. The
+    /// one slot function of every probe and growth. The
     /// hash ends in an FxHash multiply, and the low bits of a product see
     /// only the low bits of its factors: the last element's sub id, not its
     /// prime id in the word's high half. So `hash & mask` piles decisions
@@ -266,7 +260,7 @@ impl UniqueTable {
     }
 
     /// Put an entry known to be absent into the first free slot from its
-    /// home (table growth and snapshot rebuild; the table never fills).
+    /// home (table growth; the table never fills).
     fn place(slots: &mut [(u64, u32)], hash: u64, id: u32) {
         let mask = slots.len() - 1;
         let mut i = Self::slot(hash, mask);
@@ -389,28 +383,13 @@ impl IntCache {
 }
 
 /// An SDD manager over a fixed vtree.
-///
-/// A manager is either **standalone** (`base == None` — the ordinary
-/// case) or an **overlay** over a frozen slab ([`FrozenSdd::branch`]):
-/// node ids `< base_nodes` and arena offsets `< base_elems` resolve into
-/// the shared immutable base, everything at or past those marks lives in
-/// this manager's own (extension) vectors. All id/offset arithmetic is in
-/// the *global* space — `push_node` and `finish_decision` hand out ids
-/// continuing the base's — so a node's meaning never depends on which
-/// manager interned it.
 pub struct SddManager {
     vtree: Arc<Vtree>,
-    /// Shared immutable base of an overlay manager (`None` = standalone).
-    base: Option<Arc<FrozenSdd>>,
-    /// Number of nodes owned by `base` (0 when standalone).
-    base_nodes: u32,
-    /// Number of arena elements owned by `base` (0 when standalone).
-    base_elems: u32,
-    /// Extension node table: global ids `base_nodes..`.
+    /// The node table, indexed by [`SddId`].
     nodes: Vec<SddNode>,
     /// The element arena: every decision's `(prime, sub)` pairs,
     /// contiguous, append-only. Ranges handed to [`SddNode::Decision`] are
-    /// immutable once interned. Holds global offsets `base_elems..`.
+    /// immutable once interned.
     arena: Vec<(SddId, SddId)>,
     lit_cache: FxHashMap<(VarId, bool), SddId>,
     unique: UniqueTable,
@@ -450,7 +429,7 @@ pub trait SddRead {
     /// Process-unique identity of the store's id space (see
     /// [`SddManager::uid`]). A frozen slab keeps the uid of the manager it
     /// was frozen from — ids are unchanged, so caches keyed by them stay
-    /// valid; a branch draws a fresh one.
+    /// valid; a slab loaded from a snapshot draws a fresh one.
     fn uid(&self) -> u64;
 
     /// Node payload.
@@ -608,8 +587,8 @@ fn pack_lca(l: VtreeNodeId, a_at: Option<Side>, b_at: Option<Side>) -> u32 {
 }
 
 /// The next process-unique manager identity (every `SddManager::new` and
-/// every [`FrozenSdd::branch`] draws one — a branch is a *different* id
-/// space extension, so caches bound to the base must refuse it).
+/// every snapshot load draws one, so caches bound to one id space refuse
+/// another).
 fn next_uid() -> u64 {
     use std::sync::atomic::{AtomicU64, Ordering};
     static NEXT_UID: AtomicU64 = AtomicU64::new(0);
@@ -621,9 +600,6 @@ impl SddManager {
     pub fn new(vtree: Vtree) -> Self {
         SddManager {
             vtree: Arc::new(vtree),
-            base: None,
-            base_nodes: 0,
-            base_elems: 0,
             nodes: vec![SddNode::False, SddNode::True],
             arena: Vec::new(),
             lit_cache: FxHashMap::default(),
@@ -650,9 +626,8 @@ impl SddManager {
         self.stats
     }
 
-    /// Zero the lifetime apply counters. Long-lived serving sessions call
-    /// this (or snapshot-and-[`ApplyStats::delta_since`]) between queries
-    /// so each query's report reflects that query alone.
+    /// Zero the lifetime apply counters (or snapshot and
+    /// [`ApplyStats::delta_since`]) so a report reflects one stage alone.
     pub fn reset_apply_stats(&mut self) {
         self.stats.reset();
     }
@@ -662,26 +637,20 @@ impl SddManager {
         &self.vtree
     }
 
-    /// Node payload. Ids below the base mark resolve into the shared
-    /// frozen slab of an overlay manager.
+    /// Node payload.
     pub fn node(&self, id: SddId) -> &SddNode {
-        if id.0 < self.base_nodes {
-            &self.base.as_ref().expect("base ids imply a base").nodes[id.index()]
-        } else {
-            &self.nodes[id.index() - self.base_nodes as usize]
-        }
+        &self.nodes[id.index()]
     }
 
-    /// Total allocated nodes (terminals included; base + extension for an
-    /// overlay manager).
+    /// Total allocated nodes (terminals included).
     pub fn num_allocated(&self) -> usize {
-        self.base_nodes as usize + self.nodes.len()
+        self.nodes.len()
     }
 
     /// Total elements in the arena — every decision's elements exactly
-    /// once, live or not (base + extension for an overlay manager).
+    /// once, live or not.
     pub fn num_elements(&self) -> usize {
-        self.base_elems as usize + self.arena.len()
+        self.arena.len()
     }
 
     /// Estimated resident bytes of the manager's node storage and caches:
@@ -689,13 +658,10 @@ impl SddManager {
     /// unique/apply/lca tables, and the literal cache (estimated from its
     /// capacity — the standard hash table stores entries plus one control
     /// byte per slot). Scratch-pool and vtree memory are excluded; the SDD
-    /// is the part that grows. An overlay manager counts the shared frozen
-    /// slab it resolves into ([`FrozenSdd::memory_bytes`]) plus its own
-    /// extension storage, so the metric stays comparable pre/post freeze.
+    /// is the part that grows.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.base.as_ref().map_or(0, |b| b.memory_bytes())
-            + self.nodes.capacity() * size_of::<SddNode>()
+        self.nodes.capacity() * size_of::<SddNode>()
             + self.arena.capacity() * size_of::<(SddId, SddId)>()
             + self.neg_cache.capacity() * size_of::<u32>()
             + self.unique.slots.len() * size_of::<(u64, u32)>()
@@ -714,10 +680,9 @@ impl SddManager {
     }
 
     /// Append a node, enforcing the 31-bit id cap the packed apply key
-    /// (and the caches' slot encoding) relies on. Ids are global: an
-    /// overlay manager continues its frozen base's id space.
+    /// (and the caches' slot encoding) relies on.
     fn push_node(&mut self, n: SddNode) -> SddId {
-        let id = self.base_nodes as usize + self.nodes.len();
+        let id = self.nodes.len();
         assert!(id < (1 << 31), "SDD node ids are packed into 31 bits");
         self.nodes.push(n);
         self.neg_cache.push(EMPTY_SLOT);
@@ -748,29 +713,15 @@ impl SddManager {
     }
 
     /// Resolve a decision's arena range (as stored in
-    /// [`SddNode::Decision`]) to its element slice. A range lies wholly in
-    /// the frozen base or wholly in the extension (every decision's
-    /// elements are appended to exactly one arena), so the offset test on
-    /// `start` decides for the whole slice.
+    /// [`SddNode::Decision`]) to its element slice.
     pub fn elements(&self, r: Range<u32>) -> &[(SddId, SddId)] {
-        if r.start < self.base_elems {
-            &self.base.as_ref().expect("base offsets imply a base").arena
-                [r.start as usize..r.end as usize]
-        } else {
-            let s = (r.start - self.base_elems) as usize;
-            let e = (r.end - self.base_elems) as usize;
-            &self.arena[s..e]
-        }
+        &self.arena[r.start as usize..r.end as usize]
     }
 
-    /// One arena element (global offset).
+    /// One arena element.
     #[inline]
     fn element(&self, i: u32) -> (SddId, SddId) {
-        if i < self.base_elems {
-            self.base.as_ref().expect("base offsets imply a base").arena[i as usize]
-        } else {
-            self.arena[(i - self.base_elems) as usize]
-        }
+        self.arena[i as usize]
     }
 
     /// Memoized `(lca, side of va, side of vb)` for a vnode pair: the
@@ -858,15 +809,14 @@ impl SddManager {
             i = (i + 1) & mask;
         }
         // Miss: the elements enter the arena (their single home) and the
-        // free slot found above records the new node. Offsets are global:
-        // an overlay manager's extension continues its base's arena.
-        let start = self.base_elems as usize + self.arena.len();
+        // free slot found above records the new node.
+        let start = self.arena.len();
         assert!(
             start + compressed.len() <= u32::MAX as usize,
             "element arena exceeds u32 indexing"
         );
         self.arena.extend_from_slice(compressed);
-        let end = self.base_elems as usize + self.arena.len();
+        let end = self.arena.len();
         let id = self.push_node(SddNode::Decision {
             vnode,
             elems: start as u32..end as u32,

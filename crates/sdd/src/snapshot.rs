@@ -14,25 +14,23 @@
 //!
 //! Loading is **allocation-lean**: each section is read once into its
 //! final contiguous buffer, bulk-converted with word-level sweeps, and
-//! then validated in a single linear pass that doubles as the literal-
-//! cache rebuild. Derived lookup structures are *not* serialized: the
-//! literal cache and the unique table are rebuilt from the node table
-//! (correct by construction — a corrupted table cannot smuggle broken
-//! canonicity in), and the manager [`uid`](FrozenSdd::uid) is drawn fresh
-//! because uids are process-unique, never durable.
+//! then validated in a single linear pass. A frozen slab carries no
+//! interning tables (it is never extended), so nothing derived is rebuilt;
+//! the manager [`uid`](FrozenSdd::uid) is drawn fresh because uids are
+//! process-unique, never durable.
 //!
 //! Validation accepts exactly the arrays a real freeze produces: ids and
-//! ranges in bounds, terminals only at ids 0/1, decision elements
-//! strictly below their decision (interning order is topological) with
-//! primes strictly ascending (canonical element order), the negation
-//! array an involution. Everything else is a typed [`SnapError`] — never
-//! a panic, never an out-of-bounds index.
+//! ranges in bounds, terminals only at ids 0/1, each literal at most once,
+//! decision elements strictly below their decision (interning order is
+//! topological) with primes strictly ascending (canonical element order),
+//! the negation array an involution. Everything else is a typed
+//! [`SnapError`] — never a panic, never an out-of-bounds index.
 
-use crate::{decision_hash, next_uid, FrozenSdd, SddId, SddNode, UniqueTable, EMPTY_SLOT};
+use crate::{next_uid, FrozenSdd, SddId, SddNode, EMPTY_SLOT};
 use snap::{bytes_to_u32s, put_u32, Dec, Reader, SnapError, Writer, KIND_SDD};
 use std::io::{BufRead, Write};
 use std::sync::Arc;
-use vtree::fxhash::FxHashMap;
+use vtree::fxhash::FxHashSet;
 use vtree::{VarId, Vtree, VtreeError, VtreeNodeId, VtreeNodeKind};
 
 /// Section tag: the vtree arena.
@@ -192,8 +190,7 @@ impl FrozenSdd {
                 .map(|(p, s)| (SddId(p), SddId(s)))
                 .collect();
 
-        // Node table: one linear validation pass that also rebuilds the
-        // literal cache.
+        // Node table: one linear validation pass.
         let node_words = bytes_to_u32s(&r.take(TAG_NODES)?, "node section ragged")?;
         if node_words.len() % 4 != 0 {
             return Err(SnapError::Invalid {
@@ -212,8 +209,7 @@ impl FrozenSdd {
             });
         }
         let mut nodes: Vec<SddNode> = Vec::with_capacity(num_nodes);
-        let mut lit_cache: FxHashMap<(VarId, bool), SddId> = FxHashMap::default();
-        let mut decisions = 0usize;
+        let mut literals: FxHashSet<(VarId, bool)> = FxHashSet::default();
         for (id, rec) in node_words.chunks_exact(4).enumerate() {
             let node = match (rec[0], rec[1], rec[2], rec[3]) {
                 (NODE_FALSE, 0, 0, 0) if id == 0 => SddNode::False,
@@ -226,10 +222,7 @@ impl FrozenSdd {
                         });
                     }
                     let positive = positive == 1;
-                    if lit_cache
-                        .insert((var, positive), SddId(id as u32))
-                        .is_some()
-                    {
+                    if !literals.insert((var, positive)) {
                         return Err(SnapError::Invalid {
                             what: "duplicate literal node",
                         });
@@ -262,7 +255,6 @@ impl FrozenSdd {
                         }
                         prev_prime = Some(p);
                     }
-                    decisions += 1;
                     SddNode::Decision {
                         vnode,
                         elems: start..end,
@@ -300,29 +292,11 @@ impl FrozenSdd {
             }
         }
 
-        // Rebuild the unique table from the validated decisions — correct
-        // by construction, so a snapshot cannot smuggle in a table that
-        // breaks canonicity for future branches.
-        let capacity = (decisions * 2).next_power_of_two().max(16);
-        let mut slots = vec![(0u64, EMPTY_SLOT); capacity].into_boxed_slice();
-        for (id, n) in nodes.iter().enumerate() {
-            let SddNode::Decision { vnode, elems } = n else {
-                continue;
-            };
-            let hash = decision_hash(*vnode, &arena[elems.start as usize..elems.end as usize]);
-            UniqueTable::place(&mut slots, hash, id as u32);
-        }
-
         Ok(FrozenSdd {
             vtree: Arc::new(vtree),
             nodes: nodes.into_boxed_slice(),
             arena: arena.into_boxed_slice(),
             neg: neg.into_boxed_slice(),
-            unique: UniqueTable {
-                slots,
-                len: decisions,
-            },
-            lit_cache,
             // Uids are process-unique, never durable: a loaded slab is a
             // new id space as far as external caches are concerned.
             uid: next_uid(),
@@ -371,21 +345,6 @@ mod tests {
                 assert_eq!(back.eval(root, &asg), f.eval(&asg));
             }
         }
-    }
-
-    #[test]
-    fn loaded_slab_branches_canonically() {
-        let (slab, root, f) = compiled(6, 40);
-        let back = Arc::new(roundtrip(&slab));
-        // Rebuilding the same function on a branch must find the loaded
-        // base nodes (the rebuilt unique table and literal cache work).
-        let mut br = back.branch();
-        let r2 = br.from_boolfn(&f);
-        assert_eq!(r2, root, "canonicity across the snapshot");
-        assert_eq!(br.num_allocated(), back.num_allocated());
-        // And fresh structural work on top stays correct.
-        let c = br.condition(root, VarId(0), true);
-        assert!(br.to_boolfn(c).equivalent(&f.restrict(VarId(0), true)));
     }
 
     #[test]

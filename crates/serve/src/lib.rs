@@ -180,7 +180,8 @@ pub enum Request {
 
 /// Parse a DIMACS-style literal token: `"3"` is variable 3 positive,
 /// `"-3"` negative. Variables are 1-based on the wire ([`VarId`] is
-/// 0-based internally, matching the DIMACS reader).
+/// 0-based internally, matching the DIMACS reader); a magnitude past
+/// `u32::MAX` names no variable and is rejected, never truncated.
 fn parse_lit(tok: &str) -> Result<Lit, ProtocolError> {
     let n: i64 = tok
         .parse()
@@ -188,7 +189,8 @@ fn parse_lit(tok: &str) -> Result<Lit, ProtocolError> {
     if n == 0 {
         return Err(ProtocolError::ZeroLiteral);
     }
-    Ok((VarId(n.unsigned_abs() as u32 - 1), n > 0))
+    let var = u32::try_from(n.unsigned_abs()).map_err(|_| ProtocolError::BadLiteral(tok.into()))?;
+    Ok((VarId(var - 1), n > 0))
 }
 
 fn parse_var(tok: &str) -> Result<VarId, ProtocolError> {
@@ -295,8 +297,8 @@ pub fn parse_request(line: &str) -> Result<Option<Request>, ProtocolError> {
     }
 }
 
-/// Lifetime counters of one shard worker, reported by [`KbServer::stats`]
-/// and returned by [`KbServer::shutdown`]. The eval counters aggregate the
+/// Lifetime counters of one shard worker, reported by
+/// [`ClientHandle::stats`] and returned by [`KbServer::shutdown`]. The eval counters aggregate the
 /// per-query [`kb::KbQueryStats`] deltas across every session the shard
 /// owns, so a serving deployment sees how warm its caches run.
 #[derive(Clone, Debug, Default)]
@@ -568,10 +570,10 @@ fn answer_group(
     }
 }
 
-/// The sharded server: N frozen bases pinned across worker threads, a
-/// pipelined submit/collect interface ([`ClientHandle`]; the server embeds
-/// one as its default front-end and [`KbServer::client`] forks more for
-/// concurrent conversations), and per-shard statistics.
+/// The sharded server: N frozen bases pinned across worker threads and
+/// per-shard statistics. Conversations go through [`ClientHandle`]s, the
+/// pipelined submit/collect interface: [`KbServer::client`] forks one per
+/// concurrent conversation.
 pub struct KbServer {
     client: ClientHandle,
     handles: Vec<JoinHandle<ShardStats>>,
@@ -816,64 +818,12 @@ impl KbServer {
         self.client.fork()
     }
 
-    /// Submit a query; returns its sequence number. The call only enqueues
-    /// — collect the answer with [`KbServer::recv`] or [`KbServer::sync`].
-    pub fn submit(&mut self, kb: usize, cmd: Command) -> Result<u64, String> {
-        self.client.submit(kb, cmd)
-    }
-
-    /// Submit a `batch` request: every sub-command runs on the one session
-    /// owning base `kb`, in order, and the whole block comes back as one
-    /// seq-tagged response. All-`query` batches run as a single
-    /// lane-parallel sweep ([`kb::KbSession::query_batch`]).
-    pub fn submit_batch(&mut self, kb: usize, cmds: Vec<Command>) -> Result<u64, String> {
-        self.client.submit_batch(kb, cmds)
-    }
-
-    /// Responses not yet collected.
-    pub fn outstanding(&self) -> u64 {
-        self.client.outstanding()
-    }
-
-    /// Block for the next response (any shard, any order).
-    pub fn recv(&mut self) -> Option<(u64, String)> {
-        self.client.recv()
-    }
-
-    /// Drain every outstanding response, returned in sequence order.
-    pub fn sync(&mut self) -> Vec<(u64, String)> {
-        self.client.sync()
-    }
-
-    /// Per-shard counters (drains this handle's outstanding work first so
-    /// the counters cover everything it submitted so far).
-    pub fn stats(&mut self) -> Vec<ShardStats> {
-        self.client.stats()
-    }
-
-    /// Render the pool-wide metrics view in Prometheus text format.
-    pub fn metrics_text(&mut self, extra: Option<&MetricsSnapshot>) -> String {
-        self.client.metrics_text(extra)
-    }
-
-    /// The slow-query log shared by every session in the pool, slowest
-    /// first.
-    pub fn slow_traces(&self) -> Vec<TraceRecord> {
-        self.client.slow_traces()
-    }
-
-    /// Look up one retained trace by id.
-    pub fn trace(&self, id: u64) -> Option<TraceRecord> {
-        self.client.trace(id)
-    }
-
     /// Shut down: tell every worker to exit once the queued work ahead is
     /// answered, join them, and return the final per-shard counters.
     /// Forked [`ClientHandle`]s may still be alive (their submits will
     /// fail with "shard gone"); the explicit [`Job::Shutdown`] marker is
     /// what lets the workers exit while those handles hold senders.
     pub fn shutdown(mut self) -> Vec<ShardStats> {
-        let _ = self.client.sync();
         for tx in &self.client.txs {
             let _ = tx.send(Job::Shutdown);
         }
@@ -951,7 +901,10 @@ impl ClientHandle {
         })
     }
 
-    /// Submit a `batch` request (see [`KbServer::submit_batch`]).
+    /// Submit a `batch` request: every sub-command runs on the one session
+    /// owning base `kb`, in order, and the whole block comes back as one
+    /// seq-tagged response. All-`query` batches run as a single
+    /// lane-parallel sweep ([`kb::KbSession::query_batch`]).
     pub fn submit_batch(&mut self, kb: usize, cmds: Vec<Command>) -> Result<u64, String> {
         self.enqueue(kb, |seq, reply| Job::RunBatch {
             seq,
@@ -1266,6 +1219,27 @@ mod tests {
             ProtocolError::ZeroLiteral
         );
         assert!(parse_request("kb 0 condition").is_err(), "empty evidence");
+        // Magnitudes past u32::MAX name no variable: rejected, not
+        // truncated onto a small one (nor underflowing to a panic).
+        for huge in [
+            "4294967297",
+            "-4294967298",
+            "4294967296",
+            "-9223372036854775808",
+        ] {
+            assert_eq!(
+                parse_request(&format!("kb 0 query {huge}")).unwrap_err(),
+                ProtocolError::BadLiteral(huge.into()),
+                "{huge}"
+            );
+        }
+        assert_eq!(
+            parse_request("kb 0 query -4294967295").unwrap(),
+            Some(Request::Query {
+                kb: 0,
+                cmd: Command::Query(vec![(VarId(u32::MAX - 1), false)])
+            })
+        );
         assert_eq!(
             parse_request("kb x mpe").unwrap_err(),
             ProtocolError::BadNumber("x".into())

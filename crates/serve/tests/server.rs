@@ -1,8 +1,9 @@
 //! End-to-end server smoke: one frozen base replicated across shards must
-//! answer a concurrent query batch **bit-identically** to the sequential
-//! mutable [`kb::KnowledgeBase`] — floats travel the wire through Rust's
+//! answer a concurrent query batch **bit-identically** to a sequential
+//! scalar session — floats travel the wire through Rust's
 //! shortest-round-trip `Display`, so string equality here is bit equality
-//! of the underlying `f64`s.
+//! of the underlying `f64`s — and those answers are anchored to
+//! brute-force enumeration of the chain's worlds.
 
 use kb::KnowledgeBase;
 use sentential_core::Compiler;
@@ -29,13 +30,51 @@ fn chain_kb(n: u32) -> KnowledgeBase {
     kb
 }
 
+/// Brute force over all `2^n` worlds of the chain `⋀ (xᵢ ∨ xᵢ₊₁)` that
+/// satisfy `lits`: their total weight under the fixture priors, and their
+/// number.
+fn brute_chain(n: u32, lits: &[(VarId, bool)]) -> (f64, u64) {
+    let (mut weight, mut count) = (0.0, 0);
+    for mask in 0u64..1 << n {
+        let bit = |i: u32| mask >> i & 1 == 1;
+        if (1..n).any(|i| !bit(i - 1) && !bit(i)) || lits.iter().any(|&(x, b)| bit(x.0) != b) {
+            continue;
+        }
+        count += 1;
+        weight += (0..n)
+            .map(|i| {
+                let p = prior(i as usize);
+                if bit(i) {
+                    p
+                } else {
+                    1.0 - p
+                }
+            })
+            .product::<f64>();
+    }
+    (weight, count)
+}
+
+/// The float an `ok <x>` answer line carries, checked against `want`.
+fn assert_ok_close(line: &str, want: f64) {
+    let got: f64 = line
+        .strip_prefix("ok ")
+        .and_then(|x| x.parse().ok())
+        .unwrap_or_else(|| panic!("not an ok float: {line:?}"));
+    assert!(
+        (got - want).abs() <= 1e-9 * want.abs().max(1.0),
+        "{line:?} vs brute force {want}"
+    );
+}
+
 #[test]
 fn replicated_shards_answer_bit_identically_to_the_sequential_path() {
-    const N: u32 = 40;
+    const N: u32 = 16;
     const REPLICAS: usize = 8;
     let frozen = Arc::new(chain_kb(N).freeze());
     let kbs: Vec<Arc<kb::FrozenKb>> = (0..REPLICAS).map(|_| Arc::clone(&frozen)).collect();
-    let mut server = KbServer::new(kbs, 4);
+    let server = KbServer::new(kbs, 4);
+    let mut client = server.client();
     assert_eq!(server.num_shards(), 4);
     assert_eq!(server.num_kbs(), REPLICAS);
 
@@ -47,17 +86,19 @@ fn replicated_shards_answer_bit_identically_to_the_sequential_path() {
     for r in 0..REPLICAS {
         let m = v((3 + 5 * r as u32) % N);
         let q = [(v((7 * r as u32 + 1) % N), r % 2 == 0)];
-        seqs.push(server.submit(r, Command::Marginal(m)).unwrap());
-        seqs.push(server.submit(r, Command::Query(q.to_vec())).unwrap());
-        seqs.push(server.submit(r, Command::LogWeight).unwrap());
-        seqs.push(server.submit(r, Command::Count).unwrap());
+        seqs.push(client.submit(r, Command::Marginal(m)).unwrap());
+        seqs.push(client.submit(r, Command::Query(q.to_vec())).unwrap());
+        seqs.push(client.submit(r, Command::LogWeight).unwrap());
+        seqs.push(client.submit(r, Command::Count).unwrap());
         expected.push((m, q));
     }
-    let responses = server.sync();
+    let responses = client.sync();
     assert_eq!(responses.len(), 4 * REPLICAS);
 
-    // The sequential oracle answers the same queries on the mutable path.
-    let mut oracle = chain_kb(N);
+    // The sequential reference answers the same queries on one scalar
+    // session; brute force anchors every answer.
+    let mut scalar = frozen.session();
+    let (total, models) = brute_chain(N, &[]);
     let mut iter = responses.into_iter();
     for (r, &(m, q)) in expected.iter().enumerate() {
         let (s0, a_marginal) = iter.next().unwrap();
@@ -65,15 +106,18 @@ fn replicated_shards_answer_bit_identically_to_the_sequential_path() {
         let (_, a_logw) = iter.next().unwrap();
         let (_, a_count) = iter.next().unwrap();
         assert_eq!(s0, seqs[4 * r]);
-        assert_eq!(a_marginal, format!("ok {}", oracle.marginal(m).unwrap()));
-        assert_eq!(a_query, format!("ok {}", oracle.query(&q).unwrap()));
-        assert_eq!(a_logw, format!("ok {}", oracle.log_weight()));
-        assert_eq!(a_count, format!("ok {}", oracle.count_models()));
+        assert_eq!(a_marginal, format!("ok {}", scalar.marginal(m).unwrap()));
+        assert_eq!(a_query, format!("ok {}", scalar.query(&q).unwrap()));
+        assert_eq!(a_logw, format!("ok {}", scalar.log_weight()));
+        assert_eq!(a_count, format!("ok {models}"));
+        assert_ok_close(&a_marginal, brute_chain(N, &[(m, true)]).0 / total);
+        assert_ok_close(&a_query, brute_chain(N, &q).0 / total);
+        assert_ok_close(&a_logw, total.ln());
     }
 
     // Per-shard stats cover the whole batch, and the merged roll-up sums
     // every shard.
-    let stats = server.stats();
+    let stats = client.stats();
     assert_eq!(stats.len(), 4);
     let served: u64 = stats.iter().map(|s| s.served).sum();
     assert_eq!(served, 4 * REPLICAS as u64);
@@ -90,37 +134,35 @@ fn replicated_shards_answer_bit_identically_to_the_sequential_path() {
 fn session_state_is_sticky_per_replica() {
     let frozen = Arc::new(chain_kb(16).freeze());
     let kbs = vec![Arc::clone(&frozen), Arc::clone(&frozen)];
-    let mut server = KbServer::new(kbs, 2);
+    let server = KbServer::new(kbs, 2);
+    let mut client = server.client();
 
     // Replica 0 asserts evidence; replica 1 must stay at the baseline.
-    server
+    client
         .submit(0, Command::Condition(vec![(v(2), true)]))
         .unwrap();
-    server.submit(0, Command::LogWeight).unwrap();
-    server.submit(1, Command::LogWeight).unwrap();
-    let responses = server.sync();
+    client.submit(0, Command::LogWeight).unwrap();
+    client.submit(1, Command::LogWeight).unwrap();
+    let responses = client.sync();
     assert_eq!(responses[0].1, "ok");
-
-    let mut oracle = chain_kb(16);
-    let baseline = format!("ok {}", oracle.log_weight());
-    oracle.condition(&[(v(2), true)]).unwrap();
-    let conditioned = format!("ok {}", oracle.log_weight());
-    assert_eq!(responses[1].1, conditioned);
-    assert_eq!(responses[2].1, baseline);
+    let (conditioned, baseline) = (&responses[1].1, &responses[2].1);
+    assert_ok_close(conditioned, brute_chain(16, &[(v(2), true)]).0.ln());
+    assert_ok_close(baseline, brute_chain(16, &[]).0.ln());
     assert_ne!(conditioned, baseline);
 
     // Retract restores the frozen baseline on the conditioned replica.
-    server.submit(0, Command::Retract).unwrap();
-    server.submit(0, Command::LogWeight).unwrap();
-    let responses = server.sync();
-    assert_eq!(responses[1].1, baseline);
+    client.submit(0, Command::Retract).unwrap();
+    client.submit(0, Command::LogWeight).unwrap();
+    let responses = client.sync();
+    assert_eq!(&responses[1].1, baseline);
     server.shutdown();
 }
 
 #[test]
 fn wire_protocol_round_trips_through_parse_and_answer() {
     let frozen = Arc::new(chain_kb(8).freeze());
-    let mut server = KbServer::new(vec![frozen], 1);
+    let server = KbServer::new(vec![frozen], 1);
+    let mut client = server.client();
     let script = [
         "kb 0 marginal 3",
         "kb 0 condition 2 -5",
@@ -137,12 +179,12 @@ fn wire_protocol_round_trips_through_parse_and_answer() {
     for line in script {
         match parse_request(line).unwrap().unwrap() {
             Request::Query { kb, cmd } => {
-                server.submit(kb, cmd).unwrap();
+                client.submit(kb, cmd).unwrap();
             }
             other => panic!("unexpected request {other:?}"),
         }
     }
-    let responses = server.sync();
+    let responses = client.sync();
     assert_eq!(responses.len(), script.len());
     for (i, (_, resp)) in responses.iter().enumerate() {
         assert!(
@@ -155,7 +197,7 @@ fn wire_protocol_round_trips_through_parse_and_answer() {
     // `condition 2`.
     assert_eq!(responses[4].1, "ok true");
     // Bad kb ids surface as submit errors, not worker panics.
-    assert!(server.submit(7, Command::LogWeight).is_err());
+    assert!(client.submit(7, Command::LogWeight).is_err());
     server.shutdown();
 }
 
@@ -169,13 +211,14 @@ fn pool_metrics_cover_kernel_kb_and_serve_families() {
     frozen.publish_boot_metrics(&boot, 0);
 
     let kbs = vec![Arc::clone(&frozen), Arc::clone(&frozen)];
-    let mut server = KbServer::new(kbs, 2);
+    let server = KbServer::new(kbs, 2);
+    let mut client = server.client();
     for r in 0..2 {
-        server.submit(r, Command::Marginal(v(3))).unwrap();
-        server.submit(r, Command::AllMarginals).unwrap();
-        server.submit(r, Command::LogWeight).unwrap();
+        client.submit(r, Command::Marginal(v(3))).unwrap();
+        client.submit(r, Command::AllMarginals).unwrap();
+        client.submit(r, Command::LogWeight).unwrap();
     }
-    let text = server.metrics_text(Some(&boot.snapshot()));
+    let text = client.metrics_text(Some(&boot.snapshot()));
 
     // Kernel tier (apply/unique-table, published from compile provenance).
     assert!(text.contains("sdd_apply_calls_total"), "{text}");
@@ -229,14 +272,15 @@ fn pool_metrics_cover_kernel_kb_and_serve_families() {
 #[test]
 fn slow_log_retains_traces_that_the_trace_verb_can_look_up() {
     let frozen = Arc::new(chain_kb(12).freeze());
-    let mut server = KbServer::new(vec![frozen], 1);
+    let server = KbServer::new(vec![frozen], 1);
+    let mut client = server.client();
     for _ in 0..4 {
-        server.submit(0, Command::AllMarginals).unwrap();
-        server.submit(0, Command::Mpe).unwrap();
+        client.submit(0, Command::AllMarginals).unwrap();
+        client.submit(0, Command::Mpe).unwrap();
     }
-    let _ = server.sync();
+    let _ = client.sync();
 
-    let worst = server.slow_traces();
+    let worst = client.slow_traces();
     assert!(
         !worst.is_empty(),
         "queries must leave traces in the pool log"
@@ -246,14 +290,14 @@ fn slow_log_retains_traces_that_the_trace_verb_can_look_up() {
         assert!(pair[0].total >= pair[1].total);
     }
     let head = &worst[0];
-    let fetched = server.trace(head.id).expect("retained trace by id");
+    let fetched = client.trace(head.id).expect("retained trace by id");
     assert_eq!(fetched.id, head.id);
     assert_eq!(fetched.to_json(), head.to_json());
     // Labels are the wire-level query kinds; stages carry timings.
     assert!(worst
         .iter()
         .all(|t| t.label == "marginals" || t.label == "mpe"));
-    assert!(server.trace(u64::MAX).is_none());
+    assert!(client.trace(u64::MAX).is_none());
     server.shutdown();
 }
 
@@ -280,11 +324,12 @@ fn coalesced_groups_isolate_poisoned_lanes_bit_identically() {
     ];
 
     // Scalar oracle: the same wire requests through a window-off pool.
-    let mut scalar = KbServer::new(vec![Arc::clone(&frozen)], 1);
+    let scalar = KbServer::new(vec![Arc::clone(&frozen)], 1);
+    let mut scalar_client = scalar.client();
     for q in &requests {
-        scalar.submit(0, Command::Query(q.clone())).unwrap();
+        scalar_client.submit(0, Command::Query(q.clone())).unwrap();
     }
-    let scalar_lines: Vec<String> = scalar.sync().into_iter().map(|(_, l)| l).collect();
+    let scalar_lines: Vec<String> = scalar_client.sync().into_iter().map(|(_, l)| l).collect();
     scalar.shutdown();
     assert!(scalar_lines[3].starts_with("err"), "{:?}", scalar_lines[3]);
     assert_eq!(scalar_lines[6], "ok 0", "contradiction has weight zero");
@@ -348,7 +393,9 @@ fn concurrent_client_handles_demux_their_own_answers() {
 
     // Alice queries kb 0, Bob queries kb 1 (a replica of the same slab):
     // both sides use the same sequence numbers on purpose.
-    let mut oracle = chain_kb(N);
+    let mut scalar = frozen.session();
+    let total = brute_chain(N, &[]).0;
+    let (mut queries_alice, mut queries_bob) = (Vec::new(), Vec::new());
     let mut expect_alice = Vec::new();
     let mut expect_bob = Vec::new();
     for i in 0..6u32 {
@@ -356,13 +403,21 @@ fn concurrent_client_handles_demux_their_own_answers() {
         let qb = [(v(i + 8), false)];
         alice.submit(0, Command::Query(qa.to_vec())).unwrap();
         bob.submit(1, Command::Query(qb.to_vec())).unwrap();
-        expect_alice.push(format!("ok {}", oracle.query(&qa).unwrap()));
-        expect_bob.push(format!("ok {}", oracle.query(&qb).unwrap()));
+        expect_alice.push(format!("ok {}", scalar.query(&qa).unwrap()));
+        expect_bob.push(format!("ok {}", scalar.query(&qb).unwrap()));
+        queries_alice.push(qa);
+        queries_bob.push(qb);
     }
     let got_bob: Vec<String> = bob.sync().into_iter().map(|(_, l)| l).collect();
     let got_alice: Vec<String> = alice.sync().into_iter().map(|(_, l)| l).collect();
     assert_eq!(got_alice, expect_alice);
     assert_eq!(got_bob, expect_bob);
+    for (line, q) in got_alice.iter().zip(&queries_alice) {
+        assert_ok_close(line, brute_chain(N, q).0 / total);
+    }
+    for (line, q) in got_bob.iter().zip(&queries_bob) {
+        assert_ok_close(line, brute_chain(N, q).0 / total);
+    }
     assert_eq!(alice.outstanding(), 0);
     assert_eq!(bob.outstanding(), 0);
     server.shutdown();
@@ -370,21 +425,22 @@ fn concurrent_client_handles_demux_their_own_answers() {
 
 #[test]
 fn batch_requests_answer_bit_identically_to_the_scalar_wire() {
-    let frozen = Arc::new(chain_kb(24).freeze());
-    let mut server = KbServer::new(vec![frozen], 2);
+    let frozen = Arc::new(chain_kb(16).freeze());
+    let server = KbServer::new(vec![Arc::clone(&frozen)], 2);
+    let mut client = server.client();
 
     // An all-`query` batch (the lane-parallel fast path) must render the
     // exact lines the same sub-commands produce when submitted one by one.
-    let line = "batch 0 query 1 -2 ; query 5 ; query 3 9 -11 ; query -24";
+    let line = "batch 0 query 1 -2 ; query 5 ; query 3 9 -11 ; query -16";
     let Some(Request::Batch { kb, cmds }) = parse_request(line).unwrap() else {
         panic!("batch line must parse as a batch request");
     };
     let scalar_seqs: Vec<u64> = cmds
         .iter()
-        .map(|c| server.submit(kb, c.clone()).unwrap())
+        .map(|c| client.submit(kb, c.clone()).unwrap())
         .collect();
-    let batch_seq = server.submit_batch(kb, cmds.clone()).unwrap();
-    let responses = server.sync();
+    let batch_seq = client.submit_batch(kb, cmds.clone()).unwrap();
+    let responses = client.sync();
     assert_eq!(responses.len(), scalar_seqs.len() + 1);
     let batch_line = &responses
         .iter()
@@ -404,20 +460,28 @@ fn batch_requests_answer_bit_identically_to_the_scalar_wire() {
     let Some(Request::Batch { kb, cmds }) = parse_request(line).unwrap() else {
         panic!("mixed batch line must parse");
     };
-    server.submit_batch(kb, cmds).unwrap();
-    let responses = server.sync();
-    let mut oracle = chain_kb(24);
-    let base = oracle.log_weight();
-    oracle.condition(&[(v(1), true)]).unwrap();
-    let conditioned = oracle.log_weight();
-    let q = oracle.query(&[(v(6), true)]).unwrap();
+    client.submit_batch(kb, cmds).unwrap();
+    let responses = client.sync();
+    let mut scalar = frozen.session();
+    let base = scalar.log_weight();
+    scalar.condition(&[(v(1), true)]).unwrap();
+    let conditioned = scalar.log_weight();
+    let q = scalar.query(&[(v(6), true)]).unwrap();
     assert_eq!(
         responses[0].1,
         format!("ok batch 6 ; ok {base} ; ok ; ok {conditioned} ; ok {q} ; ok ; ok {base}")
     );
+    let (total, _) = brute_chain(16, &[]);
+    let (given, _) = brute_chain(16, &[(v(1), true)]);
+    assert_ok_close(&format!("ok {base}"), total.ln());
+    assert_ok_close(&format!("ok {conditioned}"), given.ln());
+    assert_ok_close(
+        &format!("ok {q}"),
+        brute_chain(16, &[(v(1), true), (v(6), true)]).0 / given,
+    );
 
     // Batch stats: one request served per batch, eval cost aggregated.
-    let stats = server.stats();
+    let stats = client.stats();
     let merged = serve::ShardStats::merged(&stats);
     assert_eq!(merged.served, 4 + 2);
     assert!(merged.eval_lookups > 0);

@@ -631,7 +631,7 @@ impl Vtree {
     /// `kb`'s arithmetic-circuit builder).
     ///
     /// Panics if `target` is not below `scope`.
-    pub fn branched_away(
+    pub fn gap_subtrees(
         &self,
         scope: VtreeNodeId,
         target: VtreeNodeId,
@@ -649,7 +649,7 @@ impl Vtree {
                     visit(l);
                     cur = r;
                 }
-                None => panic!("branched_away: target not below scope"),
+                None => panic!("gap_subtrees: target not below scope"),
             }
         }
     }
@@ -802,18 +802,18 @@ mod tests {
     }
 
     #[test]
-    fn branched_away_yields_exactly_the_gap_subtrees() {
+    fn gap_subtrees_are_exactly_the_off_path_subtrees() {
         let vs = vars(4);
         let vt = Vtree::balanced(&vs).unwrap(); // ((x0 x1) (x2 x3))
         let l0 = vt.leaf_of_var(vs[0]).unwrap();
         let mut gaps = Vec::new();
-        vt.branched_away(vt.root(), l0, |t| gaps.push(t));
+        vt.gap_subtrees(vt.root(), l0, |t| gaps.push(t));
         // Walking root → x0 branches away (x2 x3), then x1.
         let skipped: Vec<Vec<VarId>> = gaps.iter().map(|&t| vt.vars_below(t).to_vec()).collect();
         assert_eq!(skipped, vec![vec![vs[2], vs[3]], vec![vs[1]]]);
         // Walking to itself branches away nothing.
         let mut none = Vec::new();
-        vt.branched_away(l0, l0, |t| none.push(t));
+        vt.gap_subtrees(l0, l0, |t| none.push(t));
         assert!(none.is_empty());
     }
 

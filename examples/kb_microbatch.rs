@@ -51,19 +51,13 @@ fn main() {
 
     // ONE shard worker with a 5 ms batch window: all four clients' jobs
     // land in the same queue, so the worker sees cross-client groups.
-    let mut server =
-        KbServer::with_batch_window(vec![Arc::clone(&slab)], 1, Duration::from_millis(5));
+    let server = KbServer::with_batch_window(vec![Arc::clone(&slab)], 1, Duration::from_millis(5));
 
-    // Scalar oracle for the assertions below: the mutable engine answers
-    // the same questions sequentially. Floats cross the wire through
-    // Rust's shortest-round-trip `Display`, so string equality is bit
-    // equality of the underlying `f64`s.
-    let mut oracle = KnowledgeBase::compile_cnf(&Compiler::new(), &f).expect("compiles");
-    for i in 0..N as usize {
-        oracle
-            .set_probability(VarId(i as u32), prior(i))
-            .expect("known var");
-    }
+    // Scalar reference for the assertions below: a private session on the
+    // same slab answers the same questions one at a time. Floats cross the
+    // wire through Rust's shortest-round-trip `Display`, so string
+    // equality is bit equality of the underlying `f64`s.
+    let mut oracle = slab.session();
 
     // Four concurrent clients, each on its own forked handle with its own
     // sequence space. Every client pipelines its whole round burst before
@@ -88,7 +82,7 @@ fn main() {
         }
     });
 
-    // Every windowed answer is bit-identical to the sequential engine.
+    // Every windowed answer is bit-identical to the scalar session.
     let mut check = server.client();
     for c in 0..CLIENTS {
         for j in 0..ROUNDS {
@@ -106,7 +100,7 @@ fn main() {
     // The shard's own ledger shows what the window bought: most of the
     // 128 concurrent jobs rode a coalesced group instead of paying their
     // own sweep.
-    let stats = serve::ShardStats::merged(&server.stats());
+    let stats = serve::ShardStats::merged(&check.stats());
     println!(
         "\nshard ledger: served {} | coalesced {} | window wait {} us",
         stats.served,

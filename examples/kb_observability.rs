@@ -35,20 +35,21 @@ fn main() {
     // inside the pool record per-kind latencies into their shard's
     // registry and offer every traced query to the shared slow log.
     let kbs = vec![Arc::clone(&frozen), Arc::clone(&frozen)];
-    let mut server = KbServer::new(kbs, 2);
+    let server = KbServer::new(kbs, 2);
+    let mut client = server.client();
     for r in 0..2 {
-        server.submit(r, Command::Marginal(VarId(5))).unwrap();
-        server.submit(r, Command::AllMarginals).unwrap();
-        server.submit(r, Command::Mpe).unwrap();
-        server.submit(r, Command::LogWeight).unwrap();
+        client.submit(r, Command::Marginal(VarId(5))).unwrap();
+        client.submit(r, Command::AllMarginals).unwrap();
+        client.submit(r, Command::Mpe).unwrap();
+        client.submit(r, Command::LogWeight).unwrap();
     }
-    let answered = server.sync().len();
+    let answered = client.sync().len();
     println!("served {answered} queries across 2 shards\n");
 
     // Scrape: one Prometheus text exposition for the whole pool — boot
     // families merged with every shard registry, serve_* counters grafted
     // per shard plus a shard="all" roll-up.
-    let text = server.metrics_text(Some(&boot.snapshot()));
+    let text = client.metrics_text(Some(&boot.snapshot()));
     println!("--- metrics scrape (elided) ---");
     for line in text.lines() {
         if line.starts_with("compile_last_width")
@@ -62,12 +63,12 @@ fn main() {
 
     // Inspect: the slow log keeps the worst traces pool-wide, slowest
     // first; each one is addressable by id (the wire's `trace <id>`).
-    let worst = server.slow_traces();
+    let worst = client.slow_traces();
     let head = worst.first().expect("the batch left traces");
     println!("\n--- slowest of {} retained traces ---", worst.len());
     println!("{}", head.to_json());
     assert_eq!(
-        server.trace(head.id).map(|t| t.to_json()),
+        client.trace(head.id).map(|t| t.to_json()),
         Some(head.to_json())
     );
     server.shutdown();

@@ -1,15 +1,13 @@
 //! Freeze-and-serve — the walkthrough for the frozen tier and the
 //! `kb-server` shard pool.
 //!
-//! The mutable [`KnowledgeBase`] is a single-writer session: one weight
-//! vector, one evidence set, one cache epoch. Freezing it moves the
+//! The [`KnowledgeBase`] builder compiles once; freezing it moves the
 //! compiled SDD and its unfolded arithmetic circuit into an immutable
 //! `Send + Sync` slab ([`FrozenKb`]) that any number of threads share
 //! through an `Arc` — each opening its own [`kb::KbSession`] with
-//! private warm caches, answering the full query menu bit-identically to
-//! the mutable path. A [`KbServer`] wraps that pattern into a shard pool
-//! speaking a line-delimited protocol (the `kb-server` binary is the
-//! stdin/TCP front-end over the same type).
+//! private evidence, weights and warm caches. A [`KbServer`] wraps that
+//! pattern into a shard pool speaking a line-delimited protocol (the
+//! `kb-server` binary is the stdin/TCP front-end over the same type).
 //!
 //! Run: `cargo run --example kb_server`
 
@@ -66,21 +64,20 @@ c p weight -4 0.5 0
         }
     });
 
-    // A branch reopens the full mutable menu (copy-on-write overlay over
-    // the slab — the slab itself never changes).
-    let mut branch = frozen.branch();
-    branch.set_probability(VarId(0), 0.9).expect("known var");
+    // Weight changes are session-local too: this session's what-if never
+    // reaches the slab or any other session.
+    let mut what_if = frozen.session();
+    what_if.set_probability(VarId(0), 0.9).expect("known var");
+    what_if.condition(&[(VarId(3), true)]).expect("consistent");
     println!(
-        "\nbranch with P(pump-worn) = 0.9: posterior alarm marginal {:.4}",
-        {
-            branch.condition(&[(VarId(3), true)]).expect("consistent");
-            branch.marginal(VarId(0)).expect("consistent")
-        }
+        "\nsession with P(pump-worn) = 0.9: posterior alarm marginal {:.4}",
+        what_if.marginal(VarId(0)).expect("consistent")
     );
 
     // The shard pool: replicas of the slab pinned to worker threads,
     // driven by the same line protocol the kb-server binary speaks.
-    let mut server = KbServer::new(vec![Arc::clone(&frozen), Arc::clone(&frozen)], 2);
+    let server = KbServer::new(vec![Arc::clone(&frozen), Arc::clone(&frozen)], 2);
+    let mut client = server.client();
     let script = [
         "kb 0 condition 4", // client 0: the alarm rings (1-based wire ids)
         "kb 0 marginals",   // …posterior over everything
@@ -94,18 +91,18 @@ c p weight -4 0.5 0
             .expect("not a comment")
         {
             Request::Query { kb, cmd } => {
-                server.submit(kb, cmd).expect("valid kb id");
+                client.submit(kb, cmd).expect("valid kb id");
             }
             other => panic!("unexpected {other:?}"),
         }
     }
-    for (seq, answer) in server.sync() {
+    for (seq, answer) in client.sync() {
         println!("  {seq} {answer}");
     }
 
     // Ad-hoc commands skip the wire format entirely.
-    server.submit(1, Command::Mpe).expect("valid kb id");
-    let (_, mpe) = server.sync().pop().expect("one answer");
+    client.submit(1, Command::Mpe).expect("valid kb id");
+    let (_, mpe) = client.sync().pop().expect("one answer");
     println!("  prior MPE via replica 1: {mpe}");
 
     for stats in server.shutdown() {

@@ -1,8 +1,9 @@
 //! A knowledge-base serving session — the walkthrough for `crates/kb`.
 //!
 //! The expensive step (treewidth-bounded SDD compilation) runs **once**;
-//! afterwards the `KnowledgeBase` answers a whole menu of queries against
-//! the cached diagram: weighted counts, evidence conditioning, posterior
+//! the `KnowledgeBase` builder freezes the result into a shareable slab,
+//! and a `KbSession` on it answers a whole menu of queries against the
+//! cached diagram: weighted counts, evidence conditioning, posterior
 //! marginals (one up/down sweep for all of them), the most probable
 //! explanation with a verified witness, top-k model enumeration, and
 //! clause entailment — never recompiling, re-evaluating only the cones a
@@ -11,6 +12,7 @@
 //! Run: `cargo run --example kb_session`
 
 use sentential::prelude::*;
+use std::sync::Arc;
 
 fn main() {
     // A small diagnosis-flavored weighted CNF: two failure causes, a noisy
@@ -38,14 +40,16 @@ c p weight -4 0.5 0
     let f = CnfFormula::from_dimacs(dimacs).expect("well-formed DIMACS");
 
     // Compile once (any Compiler configuration works — the KB rides on the
-    // session API), then serve.
-    let mut kb = KnowledgeBase::compile_cnf(&Compiler::new(), &f).expect("compiles");
+    // session API), freeze, then serve from a session.
+    let kb = KnowledgeBase::compile_cnf(&Compiler::new(), &f).expect("compiles");
+    let frozen = Arc::new(kb.freeze());
     println!(
         "compiled: {} SDD elements over {} vars, unfolded into {} arithmetic gates\n",
-        kb.sdd_size(),
-        kb.vars().len(),
-        kb.unfolded_size()
+        frozen.sdd_size(),
+        frozen.vars().len(),
+        frozen.unfolded_size()
     );
+    let mut kb = frozen.session();
 
     // Prior marginals: one two-pass sweep computes all of them.
     println!("prior marginals P(v = 1):");
@@ -53,8 +57,8 @@ c p weight -4 0.5 0
         println!("  {v}: {p:.4}");
     }
 
-    // Evidence arrives: the alarm is ringing. Conditioning restricts the
-    // SDD (apply machinery) and pins the literal weights — every later
+    // Evidence arrives: the alarm is ringing. Conditioning pins the
+    // literal weights (the shared SDD is never touched) — every later
     // query is now a posterior.
     kb.condition(&[(VarId(3), true)])
         .expect("alarm is possible");
@@ -91,7 +95,7 @@ c p weight -4 0.5 0
         println!("  {bits}  (weight {:.4})", m.weight());
     }
 
-    // Entailment by conditioning on the negated clause: the alarm forces
+    // Entailment by pinning the negated clause: the alarm forces
     // the sensor (clause ¬x4 ∨ x3), but neither fault is entailed.
     assert!(kb.entails(&[(VarId(2), true)]).unwrap());
     assert!(!kb.entails(&[(VarId(0), true)]).unwrap());

@@ -26,6 +26,8 @@ fn main() {
         kb.set_probability(VarId(i), 0.25 + 0.5 * f64::from(i % 3) / 2.0)
             .unwrap();
     }
+    // Evidence recorded on the builder is frozen in: every session on
+    // the base (and on any copy loaded from disk) starts from it.
     kb.condition(&[(VarId(3), true)])
         .expect("consistent evidence");
     let original = Arc::new(kb.freeze());
