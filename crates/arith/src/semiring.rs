@@ -388,14 +388,6 @@ pub trait LaneSemiring: Semiring {
             *o = self.mul(x, y);
         }
     }
-
-    /// `acc[l] = acc[l] ⊕ (a[l] ⊗ b[l])` — the fused element-accumulation
-    /// step of a decision-node visit.
-    fn mul_add_assign_lanes(&self, acc: &mut [Self::Elem], a: &[Self::Elem], b: &[Self::Elem]) {
-        for ((c, x), y) in acc.iter_mut().zip(a).zip(b) {
-            *c = self.add(c, &self.mul(x, y));
-        }
-    }
 }
 
 impl LaneSemiring for Nat {}
@@ -419,11 +411,6 @@ impl LaneSemiring for MaxPlus {
     fn mul_lanes_into(&self, out: &mut [f64], a: &[f64], b: &[f64]) {
         tropical_mul_lanes_into(out, a, b);
     }
-
-    /// `acc[l] = max(acc[l], a[l] + b[l])`, fused and width-8 batched.
-    fn mul_add_assign_lanes(&self, acc: &mut [f64], a: &[f64], b: &[f64]) {
-        max_add_assign_lanes(acc, a, b);
-    }
 }
 
 impl LaneSemiring for LogF64 {
@@ -432,11 +419,6 @@ impl LaneSemiring for LogF64 {
     /// so every lane's value is bit-identical to the default body.
     fn add_assign_lanes(&self, acc: &mut [f64], rhs: &[f64]) {
         lse_assign_lanes(acc, rhs);
-    }
-
-    /// `acc[l] = lse(acc[l], a[l] + b[l])`, fused and width-8 batched.
-    fn mul_add_assign_lanes(&self, acc: &mut [f64], a: &[f64], b: &[f64]) {
-        lse_mul_add_lanes(acc, a, b);
     }
 }
 
@@ -462,39 +444,15 @@ fn lse_assign_body(acc: &mut [f64], rhs: &[f64]) {
     }
 }
 
-/// `acc[l] = lse(acc[l], a[l] + b[l])` over whole slices, blocked as
-/// [`lse_assign_body`].
-#[inline(always)]
-fn lse_mul_add_body(acc: &mut [f64], a: &[f64], b: &[f64]) {
-    debug_assert_eq!(acc.len(), a.len());
-    debug_assert_eq!(acc.len(), b.len());
-    let mut cc = acc.chunks_exact_mut(LANE_BLOCK);
-    let mut ac = a.chunks_exact(LANE_BLOCK);
-    let mut bc = b.chunks_exact(LANE_BLOCK);
-    for ((c, x), y) in cc.by_ref().zip(ac.by_ref()).zip(bc.by_ref()) {
-        let c: &mut [f64; LANE_BLOCK] = c.try_into().unwrap();
-        let mut m = [0.0f64; LANE_BLOCK];
-        for i in 0..LANE_BLOCK {
-            m[i] = x[i] + y[i];
-        }
-        *c = log_sum_exp_w(c, &m);
-    }
-    for ((c, x), y) in cc
-        .into_remainder()
-        .iter_mut()
-        .zip(ac.remainder())
-        .zip(bc.remainder())
-    {
-        *c = log_sum_exp(*c, x + y);
-    }
-}
-
 // The `#[target_feature]` wrappers: same body, recompiled with the wider
 // ISA enabled, selected once per slice call through the (cached, atomic
 // load) `is_x86_feature_detected!` test. Packed IEEE-754 ops round
 // identically to their scalar forms and Rust never contracts `a*b + c`
 // into an FMA behind the kernel's back, so every tier produces the same
-// bits — the dispatch trades nothing but speed.
+// bits — the dispatch trades nothing but speed. A column shorter than one
+// block never reaches a packed instruction, so the dispatchers run the
+// inlined body straight away there: a one-lane sweep (every scalar session
+// query) then pays no feature test and no out-of-line call per gate.
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
@@ -508,20 +466,11 @@ unsafe fn lse_assign_avx2(acc: &mut [f64], rhs: &[f64]) {
     lse_assign_body(acc, rhs)
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn lse_mul_add_avx512(acc: &mut [f64], a: &[f64], b: &[f64]) {
-    lse_mul_add_body(acc, a, b)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn lse_mul_add_avx2(acc: &mut [f64], a: &[f64], b: &[f64]) {
-    lse_mul_add_body(acc, a, b)
-}
-
 #[inline]
 fn lse_assign_lanes(acc: &mut [f64], rhs: &[f64]) {
+    if acc.len() < LANE_BLOCK {
+        return lse_assign_body(acc, rhs);
+    }
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx512f") {
@@ -534,22 +483,6 @@ fn lse_assign_lanes(acc: &mut [f64], rhs: &[f64]) {
         }
     }
     lse_assign_body(acc, rhs)
-}
-
-#[inline]
-fn lse_mul_add_lanes(acc: &mut [f64], a: &[f64], b: &[f64]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: the feature was just detected on this CPU.
-            return unsafe { lse_mul_add_avx512(acc, a, b) };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: as above.
-            return unsafe { lse_mul_add_avx2(acc, a, b) };
-        }
-    }
-    lse_mul_add_body(acc, a, b)
 }
 
 // The tropical ([`MaxPlus`]) column kernels: same width-8 blocking and
@@ -613,29 +546,6 @@ fn tropical_mul_into_body(out: &mut [f64], a: &[f64], b: &[f64]) {
     }
 }
 
-/// `acc[l] = max(acc[l], a[l] + b[l])` — the fused decision-node step.
-#[inline(always)]
-fn max_add_assign_body(acc: &mut [f64], a: &[f64], b: &[f64]) {
-    debug_assert_eq!(acc.len(), a.len());
-    debug_assert_eq!(acc.len(), b.len());
-    let mut cc = acc.chunks_exact_mut(LANE_BLOCK);
-    let mut ac = a.chunks_exact(LANE_BLOCK);
-    let mut bc = b.chunks_exact(LANE_BLOCK);
-    for ((c, x), y) in cc.by_ref().zip(ac.by_ref()).zip(bc.by_ref()) {
-        for i in 0..LANE_BLOCK {
-            c[i] = c[i].max(x[i] + y[i]);
-        }
-    }
-    for ((c, x), y) in cc
-        .into_remainder()
-        .iter_mut()
-        .zip(ac.remainder())
-        .zip(bc.remainder())
-    {
-        *c = c.max(x + y);
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 unsafe fn max_assign_avx512(acc: &mut [f64], rhs: &[f64]) {
@@ -672,20 +582,11 @@ unsafe fn tropical_mul_into_avx2(out: &mut [f64], a: &[f64], b: &[f64]) {
     tropical_mul_into_body(out, a, b)
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn max_add_assign_avx512(acc: &mut [f64], a: &[f64], b: &[f64]) {
-    max_add_assign_body(acc, a, b)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn max_add_assign_avx2(acc: &mut [f64], a: &[f64], b: &[f64]) {
-    max_add_assign_body(acc, a, b)
-}
-
 #[inline]
 fn max_assign_lanes(acc: &mut [f64], rhs: &[f64]) {
+    if acc.len() < LANE_BLOCK {
+        return max_assign_body(acc, rhs);
+    }
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx512f") {
@@ -702,6 +603,9 @@ fn max_assign_lanes(acc: &mut [f64], rhs: &[f64]) {
 
 #[inline]
 fn tropical_mul_assign_lanes(acc: &mut [f64], rhs: &[f64]) {
+    if acc.len() < LANE_BLOCK {
+        return tropical_mul_assign_body(acc, rhs);
+    }
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx512f") {
@@ -718,6 +622,9 @@ fn tropical_mul_assign_lanes(acc: &mut [f64], rhs: &[f64]) {
 
 #[inline]
 fn tropical_mul_lanes_into(out: &mut [f64], a: &[f64], b: &[f64]) {
+    if out.len() < LANE_BLOCK {
+        return tropical_mul_into_body(out, a, b);
+    }
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx512f") {
@@ -730,22 +637,6 @@ fn tropical_mul_lanes_into(out: &mut [f64], a: &[f64], b: &[f64]) {
         }
     }
     tropical_mul_into_body(out, a, b)
-}
-
-#[inline]
-fn max_add_assign_lanes(acc: &mut [f64], a: &[f64], b: &[f64]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: the feature was just detected on this CPU.
-            return unsafe { max_add_assign_avx512(acc, a, b) };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: as above.
-            return unsafe { max_add_assign_avx2(acc, a, b) };
-        }
-    }
-    max_add_assign_body(acc, a, b)
 }
 
 #[cfg(test)]
@@ -894,26 +785,65 @@ mod tests {
         }
     }
 
+    /// Lane columns of length `n` straddling the width-8 blocks (so both
+    /// the packed kernel and the scalar tail run), with `-∞` mixed in on
+    /// either side and, from `n = 24` on, on both sides of one lane.
+    fn lane_columns(n: usize) -> (Vec<f64>, Vec<f64>) {
+        let a = (0..n)
+            .map(|i| {
+                if i % 5 == 3 {
+                    f64::NEG_INFINITY
+                } else {
+                    -(i as f64) * 0.37
+                }
+            })
+            .collect();
+        let b = (0..n)
+            .map(|i| {
+                if i % 7 == 2 {
+                    f64::NEG_INFINITY
+                } else {
+                    -(i as f64).sqrt() - 0.11
+                }
+            })
+            .collect();
+        (a, b)
+    }
+
+    /// Column lengths that hit the short-column path, whole blocks, and
+    /// blocks plus a tail.
+    const LANE_LENGTHS: [usize; 8] = [1, 7, 8, 9, 16, 31, 64, 65];
+
     #[test]
     fn lane_ops_are_the_scalar_ops_lane_by_lane() {
         // The defaults are definitional, but pin the contract down with
         // bit-level checks at the carrier the serving layer batches.
         let l = LogF64;
-        let a = [-0.3f64, -2.0, f64::NEG_INFINITY, 0.0];
-        let b = [-1.1f64, f64::NEG_INFINITY, f64::NEG_INFINITY, -0.5];
-        let mut add = a;
-        l.add_assign_lanes(&mut add, &b);
-        let mut mul = a;
-        l.mul_assign_lanes(&mut mul, &b);
-        let mut fused = a;
-        l.mul_add_assign_lanes(&mut fused, &b, &b);
-        for i in 0..a.len() {
-            assert_eq!(add[i].to_bits(), l.add(&a[i], &b[i]).to_bits());
-            assert_eq!(mul[i].to_bits(), l.mul(&a[i], &b[i]).to_bits());
-            assert_eq!(
-                fused[i].to_bits(),
-                l.add(&a[i], &l.mul(&b[i], &b[i])).to_bits()
-            );
+        for n in LANE_LENGTHS {
+            let (a, b) = lane_columns(n);
+            let mut add = a.clone();
+            l.add_assign_lanes(&mut add, &b);
+            let mut mul = a.clone();
+            l.mul_assign_lanes(&mut mul, &b);
+            let mut prod = vec![0.0f64; n];
+            l.mul_lanes_into(&mut prod, &a, &b);
+            for i in 0..n {
+                assert_eq!(
+                    add[i].to_bits(),
+                    l.add(&a[i], &b[i]).to_bits(),
+                    "n={n} i={i}"
+                );
+                assert_eq!(
+                    mul[i].to_bits(),
+                    l.mul(&a[i], &b[i]).to_bits(),
+                    "n={n} i={i}"
+                );
+                assert_eq!(
+                    prod[i].to_bits(),
+                    l.mul(&a[i], &b[i]).to_bits(),
+                    "n={n} i={i}"
+                );
+            }
         }
         let mut zeros = [1.0f64; 3];
         l.zero_fill(&mut zeros);
@@ -921,11 +851,6 @@ mod tests {
         let mut ones = [1.0f64; 3];
         l.one_fill(&mut ones);
         assert!(ones.iter().all(|&o| o == 0.0));
-        let mut prod = [0.0f64; 4];
-        l.mul_lanes_into(&mut prod, &a, &b);
-        for i in 0..a.len() {
-            assert_eq!(prod[i].to_bits(), l.mul(&a[i], &b[i]).to_bits());
-        }
     }
 
     #[test]
@@ -941,44 +866,19 @@ mod tests {
     #[test]
     fn max_plus_lane_kernels_match_the_scalar_ops_bit_for_bit() {
         let m = MaxPlus;
-        // Column lengths straddling the width-8 blocks so both the packed
-        // kernel and the scalar tail are exercised, with `-∞` mixed in
-        // (the tropical zero appears at every unreached gate).
-        for n in [1usize, 7, 8, 9, 16, 31, 64, 65] {
-            let a: Vec<f64> = (0..n)
-                .map(|i| {
-                    if i % 5 == 3 {
-                        f64::NEG_INFINITY
-                    } else {
-                        -(i as f64) * 0.37
-                    }
-                })
-                .collect();
-            let b: Vec<f64> = (0..n)
-                .map(|i| {
-                    if i % 7 == 2 {
-                        f64::NEG_INFINITY
-                    } else {
-                        -(i as f64).sqrt() - 0.11
-                    }
-                })
-                .collect();
+        // The tropical zero appears at every unreached gate.
+        for n in LANE_LENGTHS {
+            let (a, b) = lane_columns(n);
             let mut add = a.clone();
             m.add_assign_lanes(&mut add, &b);
             let mut mul = a.clone();
             m.mul_assign_lanes(&mut mul, &b);
             let mut into = vec![0.0f64; n];
             m.mul_lanes_into(&mut into, &a, &b);
-            let mut fused = a.clone();
-            m.mul_add_assign_lanes(&mut fused, &b, &b);
             for i in 0..n {
                 assert_eq!(add[i].to_bits(), m.add(&a[i], &b[i]).to_bits());
                 assert_eq!(mul[i].to_bits(), m.mul(&a[i], &b[i]).to_bits());
                 assert_eq!(into[i].to_bits(), m.mul(&a[i], &b[i]).to_bits());
-                assert_eq!(
-                    fused[i].to_bits(),
-                    m.add(&a[i], &m.mul(&b[i], &b[i])).to_bits()
-                );
             }
         }
     }

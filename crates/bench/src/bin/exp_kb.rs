@@ -271,7 +271,7 @@ fn main() {
     println!(
         "\nEvery warm marginal agrees with its recompiled twin to 1e-9, and every family \
          clears the ≥ {bar}× warm-vs-recompile bar: the compilation is paid once, \
-         the queries ride the epoch cache."
+         the queries sweep the frozen circuit."
     );
     maybe_write_json(&records);
 }

@@ -113,7 +113,7 @@ fn main() {
         let mut traced = frozen.session();
         traced.attach_obs(Arc::clone(&registry), Some(Arc::clone(&slow)));
 
-        // Warm all three arms once (fills the eval caches), then measure
+        // Warm all three arms once (fills the session memos), then measure
         // interleaved so drift hits every arm alike.
         for s in [&mut base, &mut metrics, &mut traced] {
             warm_round(s, n as usize, queries.min(500));

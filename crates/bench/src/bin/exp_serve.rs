@@ -10,20 +10,20 @@
 //!   clients interleaved. A session holds exactly one weight vector, so
 //!   every client switch replays the incoming client's context (restore
 //!   the previous override, set the new one, swap the evidence pin) —
-//!   which bumps the eval-cache epoch and invalidates the marginals memo,
+//!   which bumps the session epoch and invalidates the marginals memo,
 //!   so every query pays a fresh two-pass sweep.
 //! * **frozen × T:** the same frozen slab registered as 8 replicas (one
 //!   per client, all `Arc`-sharing the slab) across a `serve::KbServer`
 //!   pool of T shard threads. Each client's context lives in its
 //!   replica's session, set once — repeated marginals ride that session's
-//!   private warm caches.
+//!   private memos.
 //!
 //! Every pooled answer is cross-checked **string-identically** (floats
 //! travel through Rust's shortest-round-trip `Display`, so string
 //! equality is bit equality) against the single session under the same
 //! context. The full run asserts the ≥ 4× aggregate-throughput bar for
 //! the 8-shard pool over the single-session baseline — the gain is
-//! architectural (8 persistent warm sessions vs one thrashed cache), so
+//! architectural (8 persistent warm sessions vs one thrashed memo), so
 //! it holds even on a single-core runner; core counts only add to it.
 //!
 //! Regenerate: `cargo run --release -p sentential-bench --bin exp_serve`
@@ -248,7 +248,7 @@ fn main() {
     println!(
         "\nEvery pooled answer is string-identical (= bit-identical) to the single \
          session's, and every family clears the ≥ {bar}× aggregate-throughput bar: \
-         eight frozen sessions keep eight warm caches where one session thrashes \
+         eight frozen sessions keep eight warm memos where one session thrashes \
          a single one."
     );
 

@@ -1,4 +1,4 @@
-//! The smoothed arithmetic circuit behind the KB's two-pass queries.
+//! The smoothed arithmetic circuit every knowledge-base query sweeps.
 //!
 //! The semiring engine (`sdd::eval`) walks the SDD *implicitly*, recomputing
 //! smoothing products from vtree paths on every visit. Marginals and MPE
@@ -19,12 +19,17 @@
 //! serialization layout: a snapshot writes the buffers as raw sections and
 //! a load reads them straight back.
 //!
-//! Everything here is generic over [`Semiring`]:
+//! The sweeps run over lane columns ([`LaneSemiring`]): a batch of weight
+//! rows is evaluated per gate visit, and a single query is the one-lane
+//! case of the same code. Every query of a `crate::KbSession` is one of:
 //!
-//! * forward sweep + [`Ac::backprop`] in a sum-product carrier (`LogF64`)
-//!   → every variable's unnormalized marginal pair in two passes;
-//! * forward sweep in `MaxPlus` + [`Ac::mpe`]'s argmax descent → the most
-//!   probable explanation *with* its witnessing assignment;
+//! * [`Ac::eval_lanes`] in `LogF64` (weighted counts), `MaxPlus` over
+//!   `{0, -∞}` weights (satisfiability — decomposability makes it one
+//!   bottom-up sweep) or `Nat` (exact model counts);
+//! * [`Ac::marginals_lanes`]: the upward sweep plus [`Ac::backprop_lanes`]
+//!   in `LogF64` → every variable's unnormalized marginal pair;
+//! * [`Ac::mpe_lanes`]: the upward sweep in `MaxPlus` plus an argmax
+//!   descent → the most probable explanation *with* its witness;
 //! * [`Ac::top_k`] — the same sweep over lists of partial models → the `k`
 //!   heaviest models, each materialized as a complete assignment.
 //!
@@ -35,17 +40,13 @@
 //! walk with explicit stacks — no pass recurses on input-sized structure,
 //! so 100k-variable circuits sweep on a default-size thread stack.
 
-use arith::{LaneSemiring, MaxPlus, Semiring};
+use arith::{LaneSemiring, MaxPlus};
 use sdd::{SddId, SddManager, SddNode};
 use vtree::fxhash::FxHashMap;
 use vtree::{VarId, VtreeNodeId};
 
 /// Index into the gate arrays of [`Ac`].
 pub(crate) type AcId = u32;
-
-/// Result of [`Ac::marginals`]: the root value and, per dense variable,
-/// the unnormalized `(m⁻, m⁺)` pair.
-pub(crate) type Marginals<E> = (E, Vec<(E, E)>);
 
 /// Gate kinds (the `kinds` byte per gate).
 pub(crate) const K_ZERO: u8 = 0;
@@ -229,6 +230,16 @@ impl Ac {
         self.kinds.len()
     }
 
+    /// Estimated resident bytes of the circuit's buffers.
+    pub fn memory_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(self.kinds.as_slice())
+            + size_of_val(self.meta.as_slice())
+            + size_of_val(self.children.as_slice())
+            + size_of_val(self.leaves.as_slice())
+            + size_of_val(self.vars.as_slice())
+    }
+
     /// The child slice of gate `id` (empty for zero/leaf gates).
     #[inline]
     fn ch(&self, id: usize) -> &[AcId] {
@@ -241,141 +252,31 @@ impl Ac {
         }
     }
 
-    /// Upward pass: the value of every gate under `weights` (indexed by
-    /// dense variable, `(w⁻, w⁺)`).
-    pub fn eval<S: Semiring>(&self, s: &S, weights: &[(S::Elem, S::Elem)]) -> Vec<S::Elem> {
-        let mut vals: Vec<S::Elem> = Vec::with_capacity(self.kinds.len());
-        for id in 0..self.kinds.len() {
-            let (a, b) = self.meta[id];
-            let v = match self.kinds[id] {
-                K_ZERO => s.zero(),
-                K_LEAF => {
-                    let (wn, wp) = &weights[a as usize];
-                    if b == 1 {
-                        wp.clone()
-                    } else {
-                        wn.clone()
-                    }
-                }
-                K_ADD => {
-                    let mut acc = s.zero();
-                    for &c in &self.children[a as usize..b as usize] {
-                        acc = s.add(&acc, &vals[c as usize]);
-                    }
-                    acc
-                }
-                _ => {
-                    let mut acc = s.one();
-                    for &c in &self.children[a as usize..b as usize] {
-                        acc = s.mul(&acc, &vals[c as usize]);
-                    }
-                    acc
-                }
-            };
-            vals.push(v);
-        }
-        vals
-    }
-
-    /// Downward pass: `dr[g]` = ∂(root)/∂(gate g), the semiring
-    /// generalization of backpropagation. `⊕`-gates pass their derivative
-    /// through; `⊗`-gates multiply it by the product of the *other*
-    /// children's values (computed with prefix/suffix products, so the pass
-    /// stays linear even for wide gates).
-    pub fn backprop<S: Semiring>(&self, s: &S, vals: &[S::Elem]) -> Vec<S::Elem> {
-        let mut dr: Vec<S::Elem> = vec![s.zero(); self.kinds.len()];
-        dr[self.root as usize] = s.one();
-        for id in (0..self.kinds.len()).rev() {
-            match self.kinds[id] {
-                K_ADD => {
-                    let d = dr[id].clone();
-                    for &c in self.ch(id) {
-                        dr[c as usize] = s.add(&dr[c as usize], &d);
-                    }
-                }
-                K_MUL => {
-                    let d = dr[id].clone();
-                    let ch = self.ch(id);
-                    match ch.len() {
-                        0 => {}
-                        1 => {
-                            let c = ch[0] as usize;
-                            dr[c] = s.add(&dr[c], &d);
-                        }
-                        2 => {
-                            let (a, b) = (ch[0] as usize, ch[1] as usize);
-                            dr[a] = s.add(&dr[a], &s.mul(&d, &vals[b]));
-                            dr[b] = s.add(&dr[b], &s.mul(&d, &vals[a]));
-                        }
-                        n => {
-                            // prefix[i] = v₀⊗…⊗vᵢ₋₁, built left to right;
-                            // suffix runs right to left.
-                            let mut prefix = Vec::with_capacity(n);
-                            let mut acc = s.one();
-                            for &c in ch {
-                                prefix.push(acc.clone());
-                                acc = s.mul(&acc, &vals[c as usize]);
-                            }
-                            let mut suffix = s.one();
-                            for i in (0..n).rev() {
-                                let c = ch[i] as usize;
-                                let other = s.mul(&prefix[i], &suffix);
-                                dr[c] = s.add(&dr[c], &s.mul(&d, &other));
-                                suffix = s.mul(&suffix, &vals[c]);
-                            }
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        dr
-    }
-
-    /// Two-pass marginals: returns the root value plus, per dense variable,
-    /// the unnormalized pair `(m⁻, m⁺)` — the total weight of models
-    /// setting the variable false resp. true. Smoothness guarantees
-    /// `m⁻ ⊕ m⁺ = root value` for every variable.
-    pub fn marginals<S: Semiring>(
-        &self,
-        s: &S,
-        weights: &[(S::Elem, S::Elem)],
-    ) -> Marginals<S::Elem> {
-        let vals = self.eval(s, weights);
-        let dr = self.backprop(s, &vals);
-        let pairs = self
-            .leaves
-            .iter()
-            .enumerate()
-            .map(|(i, &(neg, pos))| {
-                let (wn, wp) = &weights[i];
-                (s.mul(wn, &dr[neg as usize]), s.mul(wp, &dr[pos as usize]))
-            })
-            .collect();
-        (vals[self.root as usize].clone(), pairs)
-    }
-
-    /// Batched upward pass: `lanes` weight rows per gate visit. `weights`
-    /// holds lane columns at `var * lanes + l`; the returned value table
-    /// holds gate columns at `gate * lanes + l`. Per lane the *values* are
-    /// bit-identical to a scalar [`Ac::eval`] sweep under that lane's
-    /// weights: the fold order over children is the same, and the one
-    /// structural difference — the scalar fold starts from the identity
-    /// (`add(zero, c₀)`, `mul(one, c₀)`) where this pass copies the first
-    /// child column — is exact for every semiring this crate evaluates in
-    /// (`lse(-∞, x) = x` and `0 + x = x` bit-for-bit in [`LogF64`], and
-    /// exactly in the counting carriers). Eliding the identity fold
-    /// removes one full ⊕-kernel per gate, and the gate dispatch (kind
-    /// match, CSR range walk, bounds checks) is paid once per gate instead
-    /// of once per gate per query.
+    /// Upward pass over `lanes` weight rows at once — the circuit's only
+    /// evaluator; a scalar query is the one-lane case. `weights` holds lane
+    /// columns at `var * lanes + l`; the returned value table holds gate
+    /// columns at `gate * lanes + l`. Each lane runs the scalar op sequence
+    /// of its own weights, children folded left to right, so a lane's
+    /// values do not depend on the batch width or on its neighbours. A
+    /// gate copies its first child column instead of folding it into the
+    /// identity (`add(zero, c₀)`, `mul(one, c₀)`), which is exact for every
+    /// carrier this crate sweeps (`lse(-∞, x) = x`, `max(-∞, x) = x` and
+    /// `0 + x = x` bit-for-bit, and exactly in `Nat`) and saves one
+    /// ⊕-kernel per gate. The gate dispatch (kind match, CSR range walk,
+    /// bounds checks) is paid once per gate, not once per gate per lane.
+    /// The table is written into `vals`, which is cleared first and keeps
+    /// its allocation, so a caller that sweeps repeatedly can hold one
+    /// table for all its sweeps instead of allocating one per sweep.
     pub fn eval_lanes<S: LaneSemiring>(
         &self,
         s: &S,
         lanes: usize,
         weights: &[(S::Elem, S::Elem)],
-    ) -> Vec<S::Elem> {
+        vals: &mut Vec<S::Elem>,
+    ) {
         let n = self.kinds.len();
-        let mut vals: Vec<S::Elem> = Vec::with_capacity(n * lanes);
+        vals.clear();
+        vals.reserve_exact(n * lanes);
         for id in 0..n {
             let (a, b) = self.meta[id];
             let start = vals.len();
@@ -421,17 +322,19 @@ impl Ac {
                 }
             }
         }
-        vals
     }
 
-    /// Batched downward pass over a [`Ac::eval_lanes`] value table: the
-    /// column form of [`Ac::backprop`], same prefix/suffix handling of wide
-    /// `⊗`-gates, same per-lane fold order — except that a gate's *first*
-    /// parent contribution is written directly into its (still all-zero)
-    /// derivative column instead of ⊕-folded into it, which is exact
-    /// (`lse(-∞, x) = x` bit-for-bit) and removes one full ⊕-kernel per
-    /// gate; on chain-shaped circuits, where almost every gate has exactly
-    /// one parent, that is nearly the whole downward ⊕ cost.
+    /// Downward pass over an [`Ac::eval_lanes`] value table: column `g` of
+    /// the result is ∂(root)/∂(gate g), the semiring generalization of
+    /// backpropagation. `⊕`-gates pass their derivative through; `⊗`-gates
+    /// multiply it by the product of the *other* children's values,
+    /// computed with prefix/suffix products so the pass stays linear even
+    /// for wide gates. A gate's *first* parent contribution is written
+    /// directly into its (still all-zero) derivative column instead of
+    /// ⊕-folded into it, which is exact (`lse(-∞, x) = x` bit-for-bit) and
+    /// removes one full ⊕-kernel per gate; on chain-shaped circuits, where
+    /// almost every gate has exactly one parent, that is nearly the whole
+    /// downward ⊕ cost.
     pub fn backprop_lanes<S: LaneSemiring>(
         &self,
         s: &S,
@@ -550,18 +453,21 @@ impl Ac {
         dr
     }
 
-    /// Batched two-pass marginals: the root column plus, per dense
-    /// variable, the unnormalized `(m⁻, m⁺)` lane columns (pairs at
-    /// `var * lanes + l`). Per lane bit-identical to [`Ac::marginals`].
+    /// Two-pass marginals: the root column plus, per dense variable, the
+    /// unnormalized `(m⁻, m⁺)` lane columns (pairs at `var * lanes + l`) —
+    /// the total weight of models setting the variable false resp. true.
+    /// Smoothness guarantees `m⁻ ⊕ m⁺ = root` for every variable. `vals`
+    /// receives the upward value table (see [`Ac::eval_lanes`]).
     #[allow(clippy::type_complexity)]
     pub fn marginals_lanes<S: LaneSemiring>(
         &self,
         s: &S,
         lanes: usize,
         weights: &[(S::Elem, S::Elem)],
+        vals: &mut Vec<S::Elem>,
     ) -> (Vec<S::Elem>, Vec<(S::Elem, S::Elem)>) {
-        let vals = self.eval_lanes(s, lanes, weights);
-        let dr = self.backprop_lanes(s, lanes, &vals);
+        self.eval_lanes(s, lanes, weights, vals);
+        let dr = self.backprop_lanes(s, lanes, vals);
         let mut pairs = Vec::with_capacity(self.vars.len() * lanes);
         for (i, &(neg, pos)) in self.leaves.iter().enumerate() {
             let (nb, pb) = (neg as usize * lanes, pos as usize * lanes);
@@ -574,73 +480,25 @@ impl Ac {
         (vals[rb..rb + lanes].to_vec(), pairs)
     }
 
-    /// Most probable explanation: evaluate in [`MaxPlus`] over
-    /// **log**-weights, then descend from the root following the argmax
-    /// child of every `⊕`-gate (and every child of every `⊗`-gate) to read
-    /// off the witnessing assignment. Returns `None` when no model has
-    /// nonzero weight (root value `-∞`). The returned log-weight is the
-    /// witness's exact log-weight; each variable's polarity appears exactly
-    /// once because the circuit is smooth and decomposable.
-    pub fn mpe(&self, log_weights: &[(f64, f64)]) -> Option<(f64, Vec<bool>)> {
-        let s = MaxPlus;
-        let vals = self.eval(&s, log_weights);
-        let best = vals[self.root as usize];
-        if best == f64::NEG_INFINITY {
-            return None;
-        }
-        let mut assignment: Vec<Option<bool>> = vec![None; self.vars.len()];
-        let mut stack = vec![self.root];
-        while let Some(id) = stack.pop() {
-            let (a, b) = self.meta[id as usize];
-            match self.kinds[id as usize] {
-                K_ZERO => unreachable!("finite-valued gates have no Zero children"),
-                K_LEAF => {
-                    let slot = &mut assignment[a as usize];
-                    debug_assert!(
-                        slot.is_none() || *slot == Some(b == 1),
-                        "decomposability: one polarity per variable"
-                    );
-                    *slot = Some(b == 1);
-                }
-                K_ADD => {
-                    // The argmax back-pointer: the child carrying the gate's
-                    // value (max_by keeps the last maximal element, so ties
-                    // resolve to the last child).
-                    let &arg = self.children[a as usize..b as usize]
-                        .iter()
-                        .max_by(|&&x, &&y| {
-                            vals[x as usize]
-                                .partial_cmp(&vals[y as usize])
-                                .expect("log-weights are never NaN")
-                        })
-                        .expect("decisions and gaps have children");
-                    stack.push(arg);
-                }
-                _ => stack.extend_from_slice(&self.children[a as usize..b as usize]),
-            }
-        }
-        let witness = assignment
-            .into_iter()
-            .map(|b| b.expect("smoothness: every variable decided"))
-            .collect();
-        Some((best, witness))
-    }
-
-    /// Batched MPE: one lane-parallel [`MaxPlus`] sweep (`log_weights`
-    /// holds lane columns of log pairs at `var * lanes + l`, the
-    /// [`Ac::eval_lanes`] layout), then a per-lane argmax descent over the
-    /// shared value table. Lane `l` is **bit-identical** to
-    /// `self.mpe(&weights_l)`: the lane sweep's identity elision is exact
-    /// in `MaxPlus` (`max(-∞, x) = x`, and `0 + x = x` — log-weights are
-    /// `ln` images, never `-0.0`), and the descent resolves `⊕`-gate ties
-    /// through the same `max_by` (last maximal child wins), so even
-    /// tie-broken witnesses agree.
+    /// Most probable explanation per lane: one [`MaxPlus`] sweep over
+    /// **log**-weights (`log_weights` holds lane columns of log pairs at
+    /// `var * lanes + l`, the [`Ac::eval_lanes`] layout), then per lane a
+    /// descent from the root that follows the argmax child of every
+    /// `⊕`-gate (and every child of every `⊗`-gate) to read off the
+    /// witnessing assignment. A lane is `None` when no model has nonzero
+    /// weight (root `-∞`). The returned log-weight is the witness's exact
+    /// log-weight; each variable's polarity appears exactly once because
+    /// the circuit is smooth and decomposable. Ties resolve to the last
+    /// maximal child (`max_by`), and the sweep's values do not depend on
+    /// the lane count, so a lane's witness does not either. `vals`
+    /// receives the sweep's value table (see [`Ac::eval_lanes`]).
     pub fn mpe_lanes(
         &self,
         lanes: usize,
         log_weights: &[(f64, f64)],
+        vals: &mut Vec<f64>,
     ) -> Vec<Option<(f64, Vec<bool>)>> {
-        let vals = self.eval_lanes(&MaxPlus, lanes, log_weights);
+        self.eval_lanes(&MaxPlus, lanes, log_weights, vals);
         (0..lanes)
             .map(|l| {
                 let best = vals[self.root as usize * lanes + l];

@@ -1,41 +1,102 @@
 //! The frozen serving tier: **one compiled base, many concurrent readers**.
 //!
 //! [`crate::KnowledgeBase::freeze`] turns a builder into a [`FrozenKb`] —
-//! the read-only serving form built on the immutable [`FrozenSdd`] slab —
-//! which is `Send + Sync` and shared via [`Arc`]. A compiled base is
-//! always frozen before it answers anything, and a slab is only ever read.
+//! the read-only serving form built on the immutable [`FrozenSdd`] slab
+//! plus the unfolded arithmetic circuit ([`Ac`]) — which is `Send + Sync`
+//! and shared via [`Arc`]. A compiled base is always frozen before it
+//! answers anything, and a slab is only ever read.
 //!
 //! * [`FrozenKb::session`] hands out a [`KbSession`] per serving thread: a
-//!   thin handle holding private epoch-tagged [`EvalCache`]s over the
-//!   shared slab. Sessions answer the full query menu (`log_weight`,
-//!   `query`, `marginal` / `all_marginals`, `mpe`, `enumerate_models`,
-//!   `entails`, exact `count_models`, and the `*_batch` lane forms) by
-//!   evaluating the *unconditioned* root under evidence-pinned weights.
+//!   thin handle holding dense per-variable log-weight and pin tables plus
+//!   a few epoch-stamped memos. Every query is one lane sweep of the shared
+//!   circuit ([`Ac::eval_lanes`] and its two-pass forms), with a scalar
+//!   query as the one-lane case: weighted counts and `query` in `LogF64`,
+//!   consistency and entailment in `MaxPlus` over `{0, -∞}` weights (the
+//!   Boolean semiring — decomposability makes satisfiability one bottom-up
+//!   sweep), exact counts in `Nat`, marginals and MPE through the up+down
+//!   and argmax forms. The `*_batch` forms run the same sweeps over chunks
+//!   of [`LANE_CHUNK`] lanes.
 //! * Session [`KbSession::condition`] / [`KbSession::retract`] are pure
-//!   weight-space operations (pin the opposing polarity to log 0) — no node
-//!   is ever interned, so any number of sessions condition independently
-//!   over one slab. Structural consistency and entailment come from a third
-//!   cache carrying `(1, 1)` weights with the same pins: its root value is
-//!   `-∞` exactly when `F ∧ e` has no model. Exact counting is a `Nat`
-//!   sweep under `(0, 1)`-pinned weights.
+//!   weight-space operations (an asserted literal zeroes the opposing
+//!   polarity) — no node is ever interned, so any number of sessions
+//!   condition independently over one slab.
 //!
 //! Evidence frozen into the base stays asserted in every session; a
 //! session's own evidence is local to it and [`KbSession::retract`]
 //! restores the frozen baseline, never less.
 
 use crate::ac::Ac;
-use crate::{
-    pin, pinned_log_pair, stats_sum, structural_log_pair, KbError, KbProvenance, KbQueryStats, Lit,
-    Model, QueryKind,
-};
-use arith::{log_sum_exp, BigUint, LogF64, Nat};
+use crate::{KbError, KbProvenance, KbQueryStats, Lit, Model, QueryKind};
+use arith::{log_sum_exp, BigUint, LaneSemiring, LogF64, MaxPlus, Nat};
 use boolfunc::Assignment;
-use sdd::eval::{EvalCache, EvalCacheStats, EvalLanes};
+use sdd::eval::EvalCacheStats;
 use sdd::{FrozenSdd, SddId};
 use std::sync::Arc;
 use std::time::Instant;
 use vtree::fxhash::FxHashMap;
 use vtree::VarId;
+
+/// Lane width of every `*_batch` sweep: a batch of `B` evidence sets runs
+/// as `⌈B / LANE_CHUNK⌉` sweeps of at most this many lanes. A sweep's
+/// value table is gates × lanes × 8 bytes, so an unchunked 64-lane sweep
+/// of a 76k-gate circuit writes 39 MB and runs slower per lane than 16-lane
+/// chunks, whose 9.7 MB table stays closer to cache; 8- and 32-lane chunks
+/// both measured slower than 16.
+const LANE_CHUNK: usize = 16;
+
+/// The polarities a variable's evidence still allows: bit 0 = `¬v`, bit
+/// 1 = `v`. Asserting `v := b` clears the other bit, so a variable asserted
+/// both ways allows neither.
+type Allowed = u8;
+
+/// No evidence on the variable.
+const ALLOW_BOTH: Allowed = 0b11;
+
+/// `allowed` after asserting polarity `b`.
+fn assert_polarity(allowed: Allowed, b: bool) -> Allowed {
+    allowed & if b { 0b10 } else { 0b01 }
+}
+
+/// `pair` with the polarities `allowed` excludes replaced by `zero`.
+fn masked<E: Clone>(pair: (E, E), allowed: Allowed, zero: &E) -> (E, E) {
+    let keep = |w: E, bit: Allowed| if allowed & bit != 0 { w } else { zero.clone() };
+    (keep(pair.0, 0b01), keep(pair.1, 0b10))
+}
+
+/// Literals asserted in one lane on top of the session's evidence, as
+/// `(dense variable, polarity)` pairs.
+type LanePins = Vec<(usize, bool)>;
+
+/// The lanes of a scalar query: one, asserting nothing beyond the evidence.
+const ONE_LANE: [&[(usize, bool)]; 1] = [&[]];
+
+/// Var-major lane columns for one sweep: `cols[i * W + l]` is dense
+/// variable `i` in lane `l`, namely `base(i)` with lane `l`'s asserted
+/// literals zeroing their opposite polarities (repeated assertions
+/// compose, so opposing ones zero both).
+fn lane_columns<E: Clone, P: AsRef<[(usize, bool)]>>(
+    n: usize,
+    base: impl Fn(usize) -> (E, E),
+    zero: &E,
+    lanes: &[P],
+) -> Vec<(E, E)> {
+    let w = lanes.len();
+    let mut cols = Vec::with_capacity(n * w);
+    for i in 0..n {
+        cols.extend(std::iter::repeat_n(base(i), w));
+    }
+    for (l, pins) in lanes.iter().enumerate() {
+        for &(i, b) in pins.as_ref() {
+            let c = &mut cols[i * w + l];
+            if b {
+                c.0 = zero.clone();
+            } else {
+                c.1 = zero.clone();
+            }
+        }
+    }
+    cols
+}
 
 /// The read-only serving form of a [`crate::KnowledgeBase`]: the frozen
 /// SDD slab plus everything a query needs (weights, evidence pins, the
@@ -106,11 +167,11 @@ impl FrozenKb {
         &self.provenance
     }
 
-    /// Estimated resident bytes of the shared slab — the frozen analogue
-    /// of [`sdd::SddManager::memory_bytes`], so `mem_bytes` metrics stay
-    /// comparable across a freeze.
+    /// Estimated resident bytes of the base: the shared slab (the frozen
+    /// analogue of [`sdd::SddManager::memory_bytes`]) plus the unfolded
+    /// circuit every query sweeps.
     pub fn memory_bytes(&self) -> usize {
-        self.sdd.memory_bytes()
+        self.sdd.memory_bytes() + self.ac.memory_bytes()
     }
 
     /// Publish this base's boot-time telemetry: size gauges
@@ -139,89 +200,92 @@ impl FrozenKb {
         }
     }
 
-    /// Open a private serving session: fresh epoch caches over the shared
-    /// slab, initialized to the frozen weights and evidence. Cheap enough
-    /// to hand one to every serving thread; sessions never contend.
+    /// Open a private serving session, initialized to the frozen weights
+    /// and evidence. Cheap enough to hand one to every serving thread;
+    /// sessions never contend.
     pub fn session(self: &Arc<Self>) -> KbSession {
-        let weights = &self.weights;
-        let pinned = &self.pinned;
-        let slab = self.sdd.as_ref();
-        let prior = EvalCache::new(slab, LogF64, |v, pos| {
-            let (wn, wp) = weights[&v];
-            if pos {
-                wp.ln()
-            } else {
-                wn.ln()
-            }
-        });
-        let posterior = EvalCache::new(slab, LogF64, |v, pos| {
-            let (ln, lp) = pinned_log_pair(weights, pinned, v);
-            if pos {
-                lp
-            } else {
-                ln
-            }
-        });
-        let structural = EvalCache::new(slab, LogF64, |v, pos| {
-            let (sn, sp) = structural_log_pair(pinned, v);
-            if pos {
-                sp
-            } else {
-                sn
-            }
-        });
+        let weights: Vec<(f64, f64)> = self.vars.iter().map(|v| self.weights[v]).collect();
         KbSession {
             kb: Arc::clone(self),
-            weights: self.weights.clone(),
+            log_weights: weights.iter().map(|&(wn, wp)| (wn.ln(), wp.ln())).collect(),
+            weights,
+            allowed: self.allowed(),
             evidence: Vec::new(),
-            pinned: self.pinned.clone(),
-            prior,
-            posterior,
-            structural,
-            marginals_memo: None,
+            epoch: 0,
+            memo: Memos::default(),
+            table: Vec::with_capacity(self.ac.size() * LANE_CHUNK),
             last_query: KbQueryStats::default(),
-            memo_hit_scratch: false,
+            eval_scratch: EvalCacheStats::default(),
             lanes_scratch: 1,
-            lane_stats_scratch: EvalCacheStats::default(),
             obs: None,
         }
     }
+
+    /// Per dense variable: the polarities the frozen evidence allows.
+    fn allowed(&self) -> Vec<Allowed> {
+        let mut allowed = vec![ALLOW_BOTH; self.vars.len()];
+        for (v, pin) in &self.pinned {
+            allowed[self.var_index[v]] = match pin {
+                Some(b) => assert_polarity(ALLOW_BOTH, *b),
+                None => 0,
+            };
+        }
+        allowed
+    }
 }
 
-/// One serving thread's handle on a shared [`FrozenKb`]: private
-/// epoch-tagged evaluation caches (numeric prior/posterior plus the
-/// structural consistency cache), session-local evidence and weights —
-/// the one implementation of every query.
+/// Answers derived from a session's weights and evidence, each stamped
+/// with the session epoch it was computed at and valid only at that epoch.
+#[derive(Default)]
+struct Memos {
+    /// `ln W(F)`.
+    prior: Option<(u64, f64)>,
+    /// `ln W(F ∧ e)`.
+    posterior: Option<(u64, f64)>,
+    /// Whether `F ∧ e` has a model.
+    consistent: Option<(u64, bool)>,
+    /// The posterior marginals table.
+    marginals: Option<(u64, Result<Vec<f64>, KbError>)>,
+}
+
+/// The memoized value if it was computed at `epoch`.
+fn at<T: Copy>(memo: Option<(u64, T)>, epoch: u64) -> Option<T> {
+    memo.filter(|&(e, _)| e == epoch).map(|(_, v)| v)
+}
+
+/// One serving thread's handle on a shared [`FrozenKb`]: session-local
+/// weights and evidence as dense per-variable tables, and epoch-stamped
+/// memos of the answers that depend on nothing else — the one
+/// implementation of every query.
 pub struct KbSession {
     kb: Arc<FrozenKb>,
-    /// Session-local base weights (start as the frozen table;
-    /// [`KbSession::set_weights`] diverges them per session).
-    weights: FxHashMap<VarId, (f64, f64)>,
+    /// Session-local weights `(w⁻, w⁺)` per dense variable (start as the
+    /// frozen table; [`KbSession::set_weights`] diverges them per session).
+    weights: Vec<(f64, f64)>,
+    /// `ln` of `weights`: the rows every numeric sweep starts from.
+    log_weights: Vec<(f64, f64)>,
+    /// Per dense variable: the polarities the frozen plus session evidence
+    /// allows.
+    allowed: Vec<Allowed>,
     /// Session-local evidence, in assertion order (the frozen evidence is
     /// not repeated here — see [`FrozenKb::evidence`]).
     evidence: Vec<Lit>,
-    /// Combined pin table: the frozen pins plus the session's.
-    pinned: FxHashMap<VarId, Option<bool>>,
-    /// log W(F): the prior partition function, no evidence pins.
-    prior: EvalCache<LogF64>,
-    /// log W(F ∧ e): evidence-pinned weights.
-    posterior: EvalCache<LogF64>,
-    /// Weights forced to `(1, 1)`, evidence pins kept: the root value is
-    /// `-∞` exactly when no model satisfies the evidence.
-    structural: EvalCache<LogF64>,
-    /// Marginals memo, keyed by the posterior cache's epoch.
-    marginals_memo: Option<(u64, Result<Vec<f64>, KbError>)>,
+    /// Bumped by every change to `weights` or `allowed`.
+    epoch: u64,
+    memo: Memos,
+    /// The value table every `f64` sweep writes, allocated once at
+    /// [`LANE_CHUNK`] lanes: sweeps reuse it instead of allocating a
+    /// table each, so the session's resident memory does not depend on
+    /// the order in which batch widths arrive.
+    table: Vec<f64>,
     last_query: KbQueryStats,
-    /// Scratch flag queries raise inside [`KbSession::tracked`] when they
-    /// answered from the marginals memo.
-    memo_hit_scratch: bool,
+    /// Sweep traffic of the running query, accumulated inside
+    /// [`KbSession::tracked`].
+    eval_scratch: EvalCacheStats,
     /// Scratch batch width the `*_batch` queries set inside
     /// [`KbSession::tracked`] (scalar queries leave it at 1); feeds
     /// [`KbQueryStats::lanes`] and the per-lane latency telemetry.
     lanes_scratch: usize,
-    /// Scratch eval traffic of a batch query's lane evaluator (a local
-    /// [`EvalLanes`], not one of the session's three caches).
-    lane_stats_scratch: EvalCacheStats,
     /// Telemetry attachment ([`KbSession::attach_obs`]); `None` keeps the
     /// query path free of instrumentation work.
     obs: Option<SessionObs>,
@@ -243,25 +307,16 @@ struct KindHandles {
 }
 
 /// A session's telemetry attachment: the registry it publishes to, the
-/// optional slow-query log, and cached handles (kernel-level plus lazily
-/// per query kind).
+/// optional slow-query log, and handles cached lazily per query kind.
 struct SessionObs {
     registry: Arc<obs::MetricsRegistry>,
     slow: Option<Arc<obs::SlowLog>>,
-    kernel_lookups: obs::Counter,
-    kernel_hits: obs::Counter,
-    kernel_recomputed: obs::Counter,
-    mem_gauge: obs::Gauge,
     kinds: [Option<KindHandles>; QueryKind::ALL.len()],
 }
 
 impl SessionObs {
     fn new(registry: Arc<obs::MetricsRegistry>, slow: Option<Arc<obs::SlowLog>>) -> SessionObs {
         SessionObs {
-            kernel_lookups: registry.counter("sdd_eval_lookups_total", &[]),
-            kernel_hits: registry.counter("sdd_eval_hits_total", &[]),
-            kernel_recomputed: registry.counter("sdd_eval_recomputed_total", &[]),
-            mem_gauge: registry.gauge("sdd_mem_bytes", &[]),
             registry,
             slow,
             kinds: std::array::from_fn(|_| None),
@@ -299,7 +354,7 @@ impl KbSession {
     }
 
     /// Cost of the most recent query (`mem_bytes` reports the shared
-    /// slab).
+    /// base).
     pub fn last_query(&self) -> KbQueryStats {
         self.last_query
     }
@@ -312,7 +367,7 @@ impl KbSession {
 
     /// The session's current weight pair `(w⁻, w⁺)` of `v`.
     pub fn weights_of(&self, v: VarId) -> Option<(f64, f64)> {
-        self.weights.get(&v).copied()
+        self.kb.var_index.get(&v).map(|&i| self.weights[i])
     }
 
     // ------------------------------------------------------------------
@@ -330,17 +385,17 @@ impl KbSession {
     /// Set the weight pair `(w⁻, w⁺)` of `v` for this session only — other
     /// sessions over the same [`FrozenKb`] are unaffected.
     pub fn set_weights(&mut self, v: VarId, neg: f64, pos: f64) -> Result<(), KbError> {
-        if !self.kb.var_index.contains_key(&v) {
-            return Err(KbError::UnknownVariable(v));
-        }
+        let &i = self
+            .kb
+            .var_index
+            .get(&v)
+            .ok_or(KbError::UnknownVariable(v))?;
         if !(neg >= 0.0 && neg.is_finite() && pos >= 0.0 && pos.is_finite()) {
             return Err(KbError::InvalidWeight(v));
         }
-        self.weights.insert(v, (neg, pos));
-        self.prior
-            .set_weight(self.kb.sdd.as_ref(), v, neg.ln(), pos.ln());
-        let (ln, lp) = self.pinned_log_pair(v);
-        self.posterior.set_weight(self.kb.sdd.as_ref(), v, ln, lp);
+        self.weights[i] = (neg, pos);
+        self.log_weights[i] = (neg.ln(), pos.ln());
+        self.epoch += 1;
         Ok(())
     }
 
@@ -356,21 +411,15 @@ impl KbSession {
     /// [`KbError::Inconsistent`], with the evidence retained — use
     /// [`KbSession::retract`] to recover).
     pub fn condition(&mut self, lits: &[Lit]) -> Result<(), KbError> {
-        for &(v, _) in lits {
-            if !self.kb.var_index.contains_key(&v) {
-                return Err(KbError::UnknownVariable(v));
-            }
-        }
+        let pins = self.dense(lits)?;
         self.tracked(QueryKind::Condition, |s| {
-            for &(v, b) in lits {
-                if !pin(&mut s.pinned, (v, b)) {
-                    continue;
+            for (&lit, (i, b)) in lits.iter().zip(pins) {
+                let allowed = assert_polarity(s.allowed[i], b);
+                if allowed != s.allowed[i] {
+                    s.allowed[i] = allowed;
+                    s.evidence.push(lit);
+                    s.epoch += 1;
                 }
-                s.evidence.push((v, b));
-                let (ln, lp) = s.pinned_log_pair(v);
-                s.posterior.set_weight(s.kb.sdd.as_ref(), v, ln, lp);
-                let (sn, sp) = structural_log_pair(&s.pinned, v);
-                s.structural.set_weight(s.kb.sdd.as_ref(), v, sn, sp);
             }
             if s.consistent() {
                 Ok(())
@@ -385,15 +434,11 @@ impl KbSession {
     /// identity, not this session's state).
     pub fn retract(&mut self) {
         self.tracked(QueryKind::Retract, |s| {
-            let touched: Vec<VarId> = s.pinned.keys().copied().collect();
-            s.pinned = s.kb.pinned.clone();
-            for v in touched {
-                let (ln, lp) = s.pinned_log_pair(v);
-                s.posterior.set_weight(s.kb.sdd.as_ref(), v, ln, lp);
-                let (sn, sp) = structural_log_pair(&s.pinned, v);
-                s.structural.set_weight(s.kb.sdd.as_ref(), v, sn, sp);
+            if !s.evidence.is_empty() {
+                s.evidence.clear();
+                s.allowed = s.kb.allowed();
+                s.epoch += 1;
             }
-            s.evidence.clear();
         })
     }
 
@@ -401,28 +446,30 @@ impl KbSession {
     /// (Structural: ignores weights — a model whose weight is 0 still
     /// counts. The numeric queries additionally fail with
     /// [`KbError::Inconsistent`] when every such model weighs nothing.
-    /// `&mut` because the verdict comes from the session's structural
-    /// cache.)
+    /// `&mut` because the verdict is memoized in the session.)
     pub fn is_consistent(&mut self) -> bool {
         self.tracked(QueryKind::Consistent, |s| s.consistent())
     }
 
     fn consistent(&mut self) -> bool {
-        self.structural.evaluate(self.kb.sdd.as_ref(), self.kb.root) != f64::NEG_INFINITY
+        if let Some(c) = at(self.memo.consistent, self.epoch) {
+            self.served(1);
+            return c;
+        }
+        let c = self.satisfiable(&[]);
+        self.memo.consistent = Some((self.epoch, c));
+        c
     }
 
     // ------------------------------------------------------------------
-    // Numeric queries (log-space, cached)
+    // Numeric queries (log-space, memoized)
     // ------------------------------------------------------------------
 
     /// `ln W(F ∧ e)`: the log weighted model count under the current
     /// evidence (`-∞` when inconsistent). The underflow-safe primitive the
     /// probability queries are ratios of.
     pub fn log_weight(&mut self) -> f64 {
-        self.tracked(QueryKind::LogWeight, |s| {
-            let _sp = obs::span("eval");
-            s.posterior.evaluate(s.kb.sdd.as_ref(), s.kb.root)
-        })
+        self.tracked(QueryKind::LogWeight, |s| s.posterior())
     }
 
     /// `W(F ∧ e)` in the linear domain — underflows to 0 where
@@ -432,143 +479,54 @@ impl KbSession {
     }
 
     /// `P(e) = W(F ∧ e) / W(F)`: how much of the prior weight the evidence
-    /// retained. Errors when the formula itself carries no weight.
+    /// retained. Errors when the formula itself carries no weight. When
+    /// neither count is memoized, both come from one two-lane sweep.
     pub fn probability_of_evidence(&mut self) -> Result<f64, KbError> {
         self.tracked(QueryKind::ProbEvidence, |s| {
-            let _sp = obs::span("eval");
-            let prior = s.prior.evaluate(s.kb.sdd.as_ref(), s.kb.root);
+            let epoch = s.epoch;
+            let (prior, post) =
+                if at(s.memo.prior, epoch).is_none() && at(s.memo.posterior, epoch).is_none() {
+                    let cols: Vec<(f64, f64)> = (0..s.kb.vars.len())
+                        .flat_map(|i| [s.log_weights[i], s.posterior_pair(i)])
+                        .collect();
+                    let roots = s.sweep_roots(&LogF64, 2, &cols);
+                    s.memo.prior = Some((epoch, roots[0]));
+                    s.memo.posterior = Some((epoch, roots[1]));
+                    (roots[0], roots[1])
+                } else {
+                    (s.prior(), s.posterior())
+                };
             if prior == f64::NEG_INFINITY {
                 return Err(KbError::Inconsistent);
             }
-            let post = s.posterior.evaluate(s.kb.sdd.as_ref(), s.kb.root);
             Ok((post - prior).exp())
         })
     }
 
     /// `P(⋀ lits | F ∧ e)`: the conditional probability of a conjunction
-    /// of literals given the formula and current evidence. Computed by
-    /// temporarily pinning the literals' weights in the session's private
-    /// posterior cache — it re-evaluates only the affected cones, twice
-    /// (pin and restore).
+    /// of literals given the formula and current evidence — one sweep with
+    /// the literals asserted in the lane's columns, the memoized `ln W(F ∧
+    /// e)` as denominator (computed in a second lane of the same sweep when
+    /// stale). Weights and evidence are untouched, so every memo survives.
     pub fn query(&mut self, lits: &[Lit]) -> Result<f64, KbError> {
-        for &(v, _) in lits {
-            if !self.kb.var_index.contains_key(&v) {
-                return Err(KbError::UnknownVariable(v));
-            }
-        }
-        self.tracked(QueryKind::Query, |s| {
-            let _sp = obs::span("eval");
-            let epoch_before = s.posterior.epoch();
-            let denom = s.posterior.evaluate(s.kb.sdd.as_ref(), s.kb.root);
-            if denom == f64::NEG_INFINITY {
-                return Err(KbError::Inconsistent);
-            }
-            let mut saved: Vec<(VarId, (f64, f64))> = Vec::with_capacity(lits.len());
-            for &(v, b) in lits {
-                let (ln, lp) = *s.posterior.weight(v);
-                saved.push((v, (ln, lp)));
-                let pinned = if b {
-                    (f64::NEG_INFINITY, lp)
-                } else {
-                    (ln, f64::NEG_INFINITY)
-                };
-                s.posterior
-                    .set_weight(s.kb.sdd.as_ref(), v, pinned.0, pinned.1);
-            }
-            let numer = s.posterior.evaluate(s.kb.sdd.as_ref(), s.kb.root);
-            for (v, (ln, lp)) in saved.into_iter().rev() {
-                s.posterior.set_weight(s.kb.sdd.as_ref(), v, ln, lp);
-            }
-            // Pin/restore advanced the epoch with a bit-identical weight
-            // table: carry a current marginals memo forward.
-            if let Some((e, _)) = &mut s.marginals_memo {
-                if *e == epoch_before {
-                    *e = s.posterior.epoch();
-                }
-            }
-            Ok((numer - denom).exp())
-        })
+        let pins = self.dense(lits)?;
+        self.tracked(QueryKind::Query, |s| s.conditionals(&[pins]).map(|p| p[0]))
     }
 
-    /// Answer `queries.len()` conjunction queries in one lane-parallel
-    /// sweep: lane `l` computes exactly `self.query(&queries[l])`,
-    /// **bit-identically**. One [`EvalLanes`] evaluator is seeded from the
-    /// session's posterior weight table, each lane pins its own literals
-    /// (composing repeated pins in assertion order, like the scalar
-    /// pin-evaluate-restore dance), and a single sweep of the slab yields
-    /// every numerator column. The denominator comes from the shared
-    /// scalar posterior cache — it is the same value for every lane, and
-    /// bit-identical to the scalar query's denominator. Per-lane errors
-    /// follow the scalar path: an unknown variable in lane `l`'s literals
-    /// yields `Err(UnknownVariable)` for that lane only; an inconsistent
-    /// session yields `Err(Inconsistent)` in every remaining lane.
+    /// Answer `queries.len()` conjunction queries in lane sweeps of at
+    /// most [`LANE_CHUNK`] lanes: lane `l` computes exactly
+    /// `self.query(&queries[l])`, **bit-identically** — the same columns,
+    /// the same per-lane op sequence, the same denominator. Per-lane
+    /// errors follow the scalar path: an unknown variable in lane `l`'s
+    /// literals yields `Err(UnknownVariable)` for that lane only; an
+    /// inconsistent session yields `Err(Inconsistent)` in every remaining
+    /// lane.
     pub fn query_batch(&mut self, queries: &[Vec<Lit>]) -> Vec<Result<f64, KbError>> {
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        let lanes = queries.len();
-        self.tracked(QueryKind::QueryBatch, |s| {
-            s.lanes_scratch = lanes;
-            let _sp = obs::span("eval_lanes");
-            let mut lane_err: Vec<Option<KbError>> = vec![None; lanes];
-            for (l, lits) in queries.iter().enumerate() {
-                for &(v, _) in lits {
-                    if !s.kb.var_index.contains_key(&v) {
-                        lane_err[l] = Some(KbError::UnknownVariable(v));
-                        break;
-                    }
-                }
+        self.batch(QueryKind::QueryBatch, queries, |s, lanes| {
+            match s.conditionals(lanes) {
+                Ok(ps) => ps.into_iter().map(Ok).collect(),
+                Err(e) => vec![Err(e); lanes.len()],
             }
-            let denom = s.posterior.evaluate(s.kb.sdd.as_ref(), s.kb.root);
-            if denom == f64::NEG_INFINITY {
-                return lane_err
-                    .into_iter()
-                    .map(|e| Err(e.unwrap_or(KbError::Inconsistent)))
-                    .collect();
-            }
-            let posterior = &s.posterior;
-            let mut ev = EvalLanes::new(s.kb.sdd.as_ref(), LogF64, lanes, |v, pos| {
-                let (ln, lp) = *posterior.weight(v);
-                if pos {
-                    lp
-                } else {
-                    ln
-                }
-            });
-            for (l, lits) in queries.iter().enumerate() {
-                if lane_err[l].is_some() {
-                    continue;
-                }
-                // Compose repeated pins of one variable exactly as the
-                // scalar path does (each pin reads the previous pin's
-                // table), then stamp the final pair into the lane.
-                let mut local: FxHashMap<VarId, (f64, f64)> = FxHashMap::default();
-                for &(v, b) in lits {
-                    let (ln, lp) = local
-                        .get(&v)
-                        .copied()
-                        .unwrap_or_else(|| *s.posterior.weight(v));
-                    let pinned = if b {
-                        (f64::NEG_INFINITY, lp)
-                    } else {
-                        (ln, f64::NEG_INFINITY)
-                    };
-                    local.insert(v, pinned);
-                }
-                for (&v, &(ln, lp)) in &local {
-                    ev.set_lane_weight(s.kb.sdd.as_ref(), v, l, ln, lp);
-                }
-            }
-            let numer = ev.evaluate(s.kb.sdd.as_ref(), s.kb.root);
-            s.lane_stats_scratch = ev.stats();
-            lane_err
-                .into_iter()
-                .zip(numer)
-                .map(|(e, n)| match e {
-                    Some(e) => Err(e),
-                    None => Ok((n - denom).exp()),
-                })
-                .collect()
         })
     }
 
@@ -593,27 +551,14 @@ impl KbSession {
 
     fn marginals_table(&mut self, kind: QueryKind) -> Result<&Vec<f64>, KbError> {
         self.tracked(kind, |s| {
-            let epoch = s.posterior.epoch();
-            if matches!(&s.marginals_memo, Some((e, _)) if *e == epoch) {
-                s.memo_hit_scratch = true;
+            if matches!(&s.memo.marginals, Some((e, _)) if *e == s.epoch) {
+                s.served(2);
                 return;
             }
-            let weights = s.posterior_log_weights();
-            let (total, pairs) = {
-                let _sp = obs::span("ac_sweep");
-                s.kb.ac.marginals(&LogF64, &weights)
-            };
-            let result = if total == f64::NEG_INFINITY {
-                Err(KbError::Inconsistent)
-            } else {
-                Ok(pairs
-                    .into_iter()
-                    .map(|(mn, mp)| (mp - log_sum_exp(mn, mp)).exp())
-                    .collect::<Vec<f64>>())
-            };
-            s.marginals_memo = Some((epoch, result));
+            let table = s.marginal_tables(&ONE_LANE).pop().expect("one lane");
+            s.memo.marginals = Some((s.epoch, table));
         });
-        match &self.marginals_memo.as_ref().expect("just set").1 {
+        match &self.memo.marginals.as_ref().expect("just set").1 {
             Ok(table) => Ok(table),
             Err(e) => Err(e.clone()),
         }
@@ -621,17 +566,19 @@ impl KbSession {
 
     /// `P(v = 1 | F ∧ e ∧ e_l)` for each evidence set `e_l` — lane `l`
     /// answers exactly what the scalar loop `condition(&e_l); marginal(v);
-    /// retract-to-here` would, **bit-identically**, from one lane-parallel
-    /// up+down sweep of the arithmetic circuit. The session's own pins and
+    /// retract-to-here` would, **bit-identically**, from lane-parallel
+    /// up+down sweeps of the arithmetic circuit. The session's own pins and
     /// memo are untouched. An unknown `v` fails every lane.
     pub fn marginal_batch(&mut self, v: VarId, evidence: &[Vec<Lit>]) -> Vec<Result<f64, KbError>> {
         let Some(&i) = self.kb.var_index.get(&v) else {
             return vec![Err(KbError::UnknownVariable(v)); evidence.len()];
         };
-        self.marginals_batch_table(QueryKind::MarginalBatch, evidence)
-            .into_iter()
-            .map(|r| r.map(|t| t[i]))
-            .collect()
+        self.batch(QueryKind::MarginalBatch, evidence, |s, lanes| {
+            s.marginal_tables(lanes)
+                .into_iter()
+                .map(|r| r.map(|t| t[i]))
+                .collect()
+        })
     }
 
     /// All posterior marginals under each evidence set — the batched
@@ -641,265 +588,42 @@ impl KbSession {
         &mut self,
         evidence: &[Vec<Lit>],
     ) -> Vec<Result<Vec<(VarId, f64)>, KbError>> {
-        let tables = self.marginals_batch_table(QueryKind::AllMarginalsBatch, evidence);
-        tables
-            .into_iter()
-            .map(|r| r.map(|t| self.kb.vars.iter().copied().zip(t).collect()))
-            .collect()
-    }
-
-    /// Shared engine of the batched marginal queries: merge each lane's
-    /// evidence onto a copy of the session pins (the exact
-    /// [`KbSession::condition`] semantics — repeat pins keep, opposing
-    /// pins contradict), build the var-major lane weight columns, and run
-    /// one [`Ac::marginals_lanes`] sweep. Per lane: an unknown evidence
-    /// variable is that lane's error; a `-∞` total (no model under the
-    /// merged pins) is `Inconsistent`; otherwise the normalized table, in
-    /// vtree variable order.
-    fn marginals_batch_table(
-        &mut self,
-        kind: QueryKind,
-        evidence: &[Vec<Lit>],
-    ) -> Vec<Result<Vec<f64>, KbError>> {
-        if evidence.is_empty() {
-            return Vec::new();
-        }
-        let lanes = evidence.len();
-        self.tracked(kind, |s| {
-            s.lanes_scratch = lanes;
-            let mut lane_err: Vec<Option<KbError>> = vec![None; lanes];
-            let mut merged: Vec<FxHashMap<VarId, Option<bool>>> = Vec::with_capacity(lanes);
-            for (l, lits) in evidence.iter().enumerate() {
-                let mut pins = s.pinned.clone();
-                for &(v, b) in lits {
-                    if !s.kb.var_index.contains_key(&v) {
-                        lane_err[l] = Some(KbError::UnknownVariable(v));
-                        break;
-                    }
-                    pin(&mut pins, (v, b));
-                }
-                merged.push(pins);
-            }
-            // Var-major lane columns: `cols[i * lanes + l]` is variable
-            // `vars[i]` in lane `l`. Seed every lane with the session's own
-            // pinned pair, then overwrite only the evidence variables —
-            // `pinned_log_pair` is deterministic, so the seeded entries are
-            // bit-identical to evaluating it under the merged pins.
-            let mut cols: Vec<(f64, f64)> = Vec::with_capacity(s.kb.vars.len() * lanes);
-            for &v in &s.kb.vars {
-                let base = pinned_log_pair(&s.weights, &s.pinned, v);
-                cols.extend(std::iter::repeat_n(base, lanes));
-            }
-            for (l, lits) in evidence.iter().enumerate() {
-                if lane_err[l].is_some() {
-                    continue;
-                }
-                for &(v, _) in lits {
-                    let i = s.kb.var_index[&v];
-                    cols[i * lanes + l] = pinned_log_pair(&s.weights, &merged[l], v);
-                }
-            }
-            let (total, pairs) = {
-                let _sp = obs::span("ac_sweep_lanes");
-                s.kb.ac.marginals_lanes(&LogF64, lanes, &cols)
-            };
-            (0..lanes)
-                .map(|l| {
-                    if let Some(e) = &lane_err[l] {
-                        return Err(e.clone());
-                    }
-                    if total[l] == f64::NEG_INFINITY {
-                        return Err(KbError::Inconsistent);
-                    }
-                    Ok((0..s.kb.vars.len())
-                        .map(|i| {
-                            let (mn, mp) = pairs[i * lanes + l];
-                            (mp - log_sum_exp(mn, mp)).exp()
-                        })
-                        .collect())
-                })
+        self.batch(QueryKind::AllMarginalsBatch, evidence, |s, lanes| {
+            s.marginal_tables(lanes)
+                .into_iter()
+                .map(|r| r.map(|t| s.kb.vars.iter().copied().zip(t).collect()))
                 .collect()
         })
     }
 
     /// The most probable explanation: the model of maximum weight
     /// consistent with the current evidence, found by a [`arith::MaxPlus`]
-    /// sweep with argmax back-pointers. The witness is **verified** before
-    /// it is returned: it satisfies the frozen SDD, agrees with every pin,
-    /// and its literal weights multiply to the reported maximum (any
-    /// violation is a bug and panics).
+    /// sweep with argmax back-pointers and **verified** before it is
+    /// returned (see [`KbSession::mpe_batch`]; any violation is a bug and
+    /// panics).
     pub fn mpe(&mut self) -> Result<Model, KbError> {
         self.tracked(QueryKind::Mpe, |s| {
-            let weights = s.posterior_log_weights();
-            let (best, polarity) = {
-                let _sp = obs::span("ac_mpe");
-                s.kb.ac.mpe(&weights).ok_or(KbError::Inconsistent)?
-            };
-            let assignment =
-                Assignment::from_pairs(s.kb.vars.iter().copied().zip(polarity.iter().copied()));
-            assert!(
-                s.kb.sdd.eval(s.kb.root, &assignment),
-                "MPE witness must satisfy the compiled SDD"
-            );
-            for (&v, &pin) in &s.pinned {
-                if let Some(b) = pin {
-                    assert_eq!(
-                        assignment.get(v),
-                        Some(b),
-                        "MPE witness must agree with the evidence on {v}"
-                    );
-                }
-            }
-            let recomputed: f64 =
-                s.kb.vars
-                    .iter()
-                    .zip(&polarity)
-                    .map(|(&v, &b)| {
-                        let (ln, lp) = s.pinned_log_pair(v);
-                        if b {
-                            lp
-                        } else {
-                            ln
-                        }
-                    })
-                    .sum();
-            assert!(
-                (recomputed - best).abs() <= 1e-9 * best.abs().max(1.0),
-                "MPE witness weight {recomputed} must reproduce the maximum {best}"
-            );
-            Ok(Model {
-                assignment,
-                log_weight: best,
-            })
+            s.mpe_models(&ONE_LANE).pop().expect("one lane")
         })
     }
 
     /// The most probable explanation under each evidence set — lane `l`
     /// answers exactly what the scalar loop `condition(&evidence[l]);
     /// mpe(); retract-to-here` would, **bit-identically in both the score
-    /// and the decoded witness**, from one lane-parallel [`arith::MaxPlus`]
-    /// sweep ([`Ac::mpe_lanes`] resolves `⊕`-gate ties through the same
-    /// last-maximal-child rule as the scalar descent). The session's own
-    /// pins and memo are untouched. Per lane: an unknown evidence variable
-    /// is that lane's error; a `-∞` maximum (no model under the merged
-    /// pins) is `Inconsistent`; otherwise the witness carries the same
-    /// guarantees as [`KbSession::mpe`] — it satisfies the circuit, agrees
-    /// with every merged pin, and reproduces the maximum weight — but the
-    /// satisfaction and weight checks are amortized into ONE extra
-    /// [`arith::MaxPlus`] sweep over witness-pinned columns instead of a
-    /// per-lane SDD traversal plus recompute: the circuit is
-    /// deterministic, so under a complete assignment the pinned root is
-    /// the witness's weight iff the witness is a model and `-∞` otherwise.
+    /// and the decoded witness** ([`Ac::mpe_lanes`] resolves `⊕`-gate ties
+    /// by the same last-maximal-child rule at every width). The session's
+    /// own pins and memo are untouched. Per lane: an unknown evidence
+    /// variable is that lane's error; a `-∞` maximum (no model under the
+    /// merged pins) is `Inconsistent`; otherwise the witness satisfies the
+    /// circuit, agrees with every pin, and reproduces the maximum weight.
+    /// All three checks ride on ONE extra [`arith::MaxPlus`] sweep over
+    /// witness-pinned columns: under a complete assignment the circuit's
+    /// only possible model is the witness, so the pinned root is the
+    /// witness's weight if it is a model whose literals all carry weight
+    /// (a literal against a pin carries `-∞`), and `-∞` otherwise.
     pub fn mpe_batch(&mut self, evidence: &[Vec<Lit>]) -> Vec<Result<Model, KbError>> {
-        if evidence.is_empty() {
-            return Vec::new();
-        }
-        let lanes = evidence.len();
-        self.tracked(QueryKind::MpeBatch, |s| {
-            s.lanes_scratch = lanes;
-            // Merge each lane's evidence onto a copy of the session pins —
-            // the exact `condition` semantics (repeat pins keep, opposing
-            // pins contradict), as in the batched marginal queries.
-            let mut lane_err: Vec<Option<KbError>> = vec![None; lanes];
-            let mut merged: Vec<FxHashMap<VarId, Option<bool>>> = Vec::with_capacity(lanes);
-            for (l, lits) in evidence.iter().enumerate() {
-                let mut pins = s.pinned.clone();
-                for &(v, b) in lits {
-                    if !s.kb.var_index.contains_key(&v) {
-                        lane_err[l] = Some(KbError::UnknownVariable(v));
-                        break;
-                    }
-                    pin(&mut pins, (v, b));
-                }
-                merged.push(pins);
-            }
-            // Var-major lane columns of evidence-adjusted log pairs, seeded
-            // from the session pins and overwritten per evidence variable
-            // (see `marginals_batch_table` for why the seed is exact).
-            let mut cols: Vec<(f64, f64)> = Vec::with_capacity(s.kb.vars.len() * lanes);
-            for &v in &s.kb.vars {
-                let base = pinned_log_pair(&s.weights, &s.pinned, v);
-                cols.extend(std::iter::repeat_n(base, lanes));
-            }
-            for (l, lits) in evidence.iter().enumerate() {
-                if lane_err[l].is_some() {
-                    continue;
-                }
-                for &(v, _) in lits {
-                    let i = s.kb.var_index[&v];
-                    cols[i * lanes + l] = pinned_log_pair(&s.weights, &merged[l], v);
-                }
-            }
-            let decoded = {
-                let _sp = obs::span("ac_mpe_lanes");
-                s.kb.ac.mpe_lanes(lanes, &cols)
-            };
-            // Batched witness verification: pin every healthy lane's
-            // columns to its own decoded witness and re-run ONE MaxPlus
-            // lane sweep. The circuit is deterministic, so a complete
-            // assignment keeps exactly one child of every ⊕-gate finite:
-            // the pinned root is the witness's own weight when the witness
-            // satisfies the circuit and `-∞` when it does not — one
-            // amortized sweep carries the per-lane satisfaction AND weight
-            // checks that the scalar path pays one SDD traversal each for
-            // (that traversal survives below as the debug-build check).
-            let mut verify_cols = cols;
-            for (l, lane) in decoded.iter().enumerate() {
-                let Some((_, polarity)) = lane else { continue };
-                if lane_err[l].is_some() {
-                    continue;
-                }
-                for (i, &b) in polarity.iter().enumerate() {
-                    let c = &mut verify_cols[i * lanes + l];
-                    if b {
-                        c.0 = f64::NEG_INFINITY;
-                    } else {
-                        c.1 = f64::NEG_INFINITY;
-                    }
-                }
-            }
-            let verified = {
-                let _sp = obs::span("ac_mpe_verify_lanes");
-                s.kb.ac.eval_lanes(&arith::MaxPlus, lanes, &verify_cols)
-            };
-            let root_row = s.kb.ac.root as usize * lanes;
-            decoded
-                .into_iter()
-                .enumerate()
-                .map(|(l, lane)| {
-                    if let Some(e) = &lane_err[l] {
-                        return Err(e.clone());
-                    }
-                    let (best, polarity) = lane.ok_or(KbError::Inconsistent)?;
-                    let reweighed = verified[root_row + l];
-                    assert!(
-                        reweighed.is_finite()
-                            && (reweighed - best).abs() <= 1e-9 * best.abs().max(1.0),
-                        "MPE witness must satisfy the circuit and reproduce the \
-                         maximum: re-evaluated {reweighed}, swept {best}"
-                    );
-                    let assignment = Assignment::from_pairs(
-                        s.kb.vars.iter().copied().zip(polarity.iter().copied()),
-                    );
-                    debug_assert!(
-                        s.kb.sdd.eval(s.kb.root, &assignment),
-                        "MPE witness must satisfy the compiled SDD"
-                    );
-                    for (&v, &pin) in &merged[l] {
-                        if let Some(b) = pin {
-                            assert_eq!(
-                                assignment.get(v),
-                                Some(b),
-                                "MPE witness must agree with the evidence on {v}"
-                            );
-                        }
-                    }
-                    Ok(Model {
-                        assignment,
-                        log_weight: best,
-                    })
-                })
-                .collect()
+        self.batch(QueryKind::MpeBatch, evidence, |s, lanes| {
+            s.mpe_models(lanes)
         })
     }
 
@@ -910,7 +634,8 @@ impl KbSession {
     pub fn enumerate_models(&mut self, k: usize) -> Vec<Model> {
         self.tracked(QueryKind::TopK, |s| {
             let _sp = obs::span("ac_topk");
-            let weights = s.posterior_log_weights();
+            let weights = s.posterior_columns(&ONE_LANE);
+            s.swept(1);
             s.kb.ac
                 .top_k(&weights, k)
                 .into_iter()
@@ -932,57 +657,39 @@ impl KbSession {
     // Structural queries (weight-free, but still apply-free)
     // ------------------------------------------------------------------
 
-    /// Does `F ∧ e` entail the clause `⋁ lits`? The session pins the
-    /// clause's negation into its structural cache — `F ∧ e ∧ ⋀ ¬lit` has
-    /// no model exactly when the clause is entailed. Pin conflicts do the
-    /// case analysis for free: a clause literal the evidence satisfies, or
-    /// a complementary pair within the clause, zero both polarities of
-    /// that variable, and the count collapses. An empty clause is entailed
-    /// exactly when the session is inconsistent.
+    /// Does `F ∧ e` entail the clause `⋁ lits`? Exactly when `F ∧ e ∧
+    /// ⋀ ¬lit` has no model — one structural sweep with the negated
+    /// literals asserted. Pin conflicts do the case analysis for free: a
+    /// clause literal the evidence satisfies, or a complementary pair
+    /// within the clause, zero both polarities of that variable and the
+    /// sweep finds no model. An empty clause is entailed exactly when the
+    /// session is inconsistent.
     pub fn entails(&mut self, clause: &[Lit]) -> Result<bool, KbError> {
-        for &(v, _) in clause {
-            if !self.kb.var_index.contains_key(&v) {
-                return Err(KbError::UnknownVariable(v));
-            }
-        }
-        self.tracked(QueryKind::Entails, |s| {
-            let _sp = obs::span("structural_eval");
-            let mut saved: Vec<(VarId, (f64, f64))> = Vec::with_capacity(clause.len());
-            for &(v, b) in clause {
-                let (sn, sp) = *s.structural.weight(v);
-                saved.push((v, (sn, sp)));
-                // Assert ¬lit: zero the polarity the clause literal names.
-                let pinned = if b {
-                    (sn, f64::NEG_INFINITY)
-                } else {
-                    (f64::NEG_INFINITY, sp)
-                };
-                s.structural
-                    .set_weight(s.kb.sdd.as_ref(), v, pinned.0, pinned.1);
-            }
-            let negated = s.structural.evaluate(s.kb.sdd.as_ref(), s.kb.root);
-            for (v, (sn, sp)) in saved.into_iter().rev() {
-                s.structural.set_weight(s.kb.sdd.as_ref(), v, sn, sp);
-            }
-            Ok(negated == f64::NEG_INFINITY)
-        })
+        let negated: LanePins = self
+            .dense(clause)?
+            .into_iter()
+            .map(|(i, b)| (i, !b))
+            .collect();
+        self.tracked(QueryKind::Entails, |s| Ok(!s.satisfiable(&negated)))
     }
 
     /// The exact number of models of `F ∧ e` over all variables
-    /// ([`arith::BigUint`] — no overflow at any size), computed as one
-    /// `Nat` sweep of the root under `(0, 1)`-pinned weights (each pinned
-    /// variable keeps exactly its asserted polarity).
+    /// ([`arith::BigUint`] — no overflow at any size): one `Nat` sweep of
+    /// the (smoothed) circuit under `(0, 1)`-pinned weights.
     pub fn count_models(&mut self) -> BigUint {
         self.tracked(QueryKind::Count, |s| {
             let _sp = obs::span("nat_sweep");
-            let pinned = &s.pinned;
-            s.kb.sdd.evaluate(s.kb.root, &Nat, |v, pos| {
-                match pinned.get(&v) {
-                    None => BigUint::one(),
-                    Some(Some(b)) if *b == pos => BigUint::one(),
-                    _ => BigUint::zero(), // opposing polarity, or contradicted
-                }
-            })
+            let zero = BigUint::zero();
+            let cols = lane_columns(
+                s.kb.vars.len(),
+                |i| masked((BigUint::one(), BigUint::one()), s.allowed[i], &zero),
+                &zero,
+                &ONE_LANE,
+            );
+            s.swept(1);
+            let mut vals = Vec::new();
+            s.kb.ac.eval_lanes(&Nat, 1, &cols, &mut vals);
+            vals.swap_remove(s.kb.ac.root as usize)
         })
     }
 
@@ -990,19 +697,245 @@ impl KbSession {
     // Internals
     // ------------------------------------------------------------------
 
-    /// The evidence-adjusted log-weight pair of `v`, over the session's
-    /// weights and combined pins.
-    fn pinned_log_pair(&self, v: VarId) -> (f64, f64) {
-        pinned_log_pair(&self.weights, &self.pinned, v)
+    /// Dense `(index, polarity)` form of `lits`, or the first unknown
+    /// variable's error.
+    fn dense(&self, lits: &[Lit]) -> Result<LanePins, KbError> {
+        lits.iter()
+            .map(|&(v, b)| match self.kb.var_index.get(&v) {
+                Some(&i) => Ok((i, b)),
+                None => Err(KbError::UnknownVariable(v)),
+            })
+            .collect()
     }
 
-    /// Dense evidence-adjusted log-weight table in vtree variable order.
-    fn posterior_log_weights(&self) -> Vec<(f64, f64)> {
-        self.kb
-            .vars
-            .iter()
-            .map(|&v| self.pinned_log_pair(v))
-            .collect()
+    /// The evidence-adjusted log-weight pair of dense variable `i`.
+    fn posterior_pair(&self, i: usize) -> (f64, f64) {
+        masked(self.log_weights[i], self.allowed[i], &f64::NEG_INFINITY)
+    }
+
+    /// `LogF64` lane columns: the posterior weights with each lane's pins.
+    fn posterior_columns<P: AsRef<[(usize, bool)]>>(&self, lanes: &[P]) -> Vec<(f64, f64)> {
+        lane_columns(
+            self.kb.vars.len(),
+            |i| self.posterior_pair(i),
+            &f64::NEG_INFINITY,
+            lanes,
+        )
+    }
+
+    /// Account one sweep pass over `lanes` lanes: needed and swept.
+    fn swept(&mut self, lanes: usize) {
+        let gates = (self.kb.ac.size() * lanes) as u64;
+        self.eval_scratch.lookups += gates;
+        self.eval_scratch.recomputed += gates;
+    }
+
+    /// Account `lanes` lanes of one pass that a memo answered.
+    fn served(&mut self, lanes: usize) {
+        let gates = (self.kb.ac.size() * lanes) as u64;
+        self.eval_scratch.lookups += gates;
+        self.eval_scratch.hits += gates;
+    }
+
+    /// One upward sweep over `lanes`-wide columns; the root column.
+    fn sweep_roots<S: LaneSemiring<Elem = f64>>(
+        &mut self,
+        s: &S,
+        lanes: usize,
+        cols: &[(f64, f64)],
+    ) -> Vec<f64> {
+        self.swept(lanes);
+        let _sp = obs::span("ac_sweep");
+        self.kb.ac.eval_lanes(s, lanes, cols, &mut self.table);
+        let root = self.kb.ac.root as usize * lanes;
+        self.table[root..root + lanes].to_vec()
+    }
+
+    /// `ln W(F)`, memoized.
+    fn prior(&mut self) -> f64 {
+        if let Some(w) = at(self.memo.prior, self.epoch) {
+            self.served(1);
+            return w;
+        }
+        let cols = self.log_weights.clone();
+        let w = self.sweep_roots(&LogF64, 1, &cols)[0];
+        self.memo.prior = Some((self.epoch, w));
+        w
+    }
+
+    /// `ln W(F ∧ e)`, memoized.
+    fn posterior(&mut self) -> f64 {
+        if let Some(w) = at(self.memo.posterior, self.epoch) {
+            self.served(1);
+            return w;
+        }
+        let cols = self.posterior_columns(&ONE_LANE);
+        let w = self.sweep_roots(&LogF64, 1, &cols)[0];
+        self.memo.posterior = Some((self.epoch, w));
+        w
+    }
+
+    /// Does `F ∧ e ∧ ⋀ pins` have a model? One `MaxPlus` sweep over
+    /// `{0, -∞}` columns — the Boolean semiring, where a smooth
+    /// decomposable circuit evaluates to `0` exactly when some model
+    /// survives the pins.
+    fn satisfiable(&mut self, pins: &[(usize, bool)]) -> bool {
+        let inf = f64::NEG_INFINITY;
+        let cols = lane_columns(
+            self.kb.vars.len(),
+            |i| masked((0.0, 0.0), self.allowed[i], &inf),
+            &inf,
+            &[pins],
+        );
+        self.sweep_roots(&MaxPlus, 1, &cols)[0] != inf
+    }
+
+    /// `P(⋀ pins_l | F ∧ e)` per lane, in sweeps of at most
+    /// [`LANE_CHUNK`] lanes; a stale `ln W(F ∧ e)` rides along as one more
+    /// lane. `Err(Inconsistent)` when `W(F ∧ e) = 0`.
+    fn conditionals<P: AsRef<[(usize, bool)]>>(
+        &mut self,
+        lanes: &[P],
+    ) -> Result<Vec<f64>, KbError> {
+        let memo = at(self.memo.posterior, self.epoch);
+        if memo == Some(f64::NEG_INFINITY) {
+            self.served(1);
+            return Err(KbError::Inconsistent);
+        }
+        let mut all: Vec<&[(usize, bool)]> = lanes.iter().map(AsRef::as_ref).collect();
+        if memo.is_none() {
+            all.push(&[]);
+        }
+        let mut roots = Vec::with_capacity(all.len());
+        for chunk in all.chunks(LANE_CHUNK) {
+            let cols = self.posterior_columns(chunk);
+            roots.extend(self.sweep_roots(&LogF64, chunk.len(), &cols));
+        }
+        let denom = match memo {
+            Some(w) => {
+                self.served(1);
+                w
+            }
+            None => {
+                let w = roots.pop().expect("denominator lane");
+                self.memo.posterior = Some((self.epoch, w));
+                w
+            }
+        };
+        if denom == f64::NEG_INFINITY {
+            return Err(KbError::Inconsistent);
+        }
+        Ok(roots.into_iter().map(|n| (n - denom).exp()).collect())
+    }
+
+    /// Posterior marginal tables per lane (evidence plus the lane's pins),
+    /// in vtree variable order, in up+down sweeps of at most
+    /// [`LANE_CHUNK`] lanes. A lane without a model of nonzero weight is
+    /// `Inconsistent`.
+    fn marginal_tables<P: AsRef<[(usize, bool)]>>(
+        &mut self,
+        lanes: &[P],
+    ) -> Vec<Result<Vec<f64>, KbError>> {
+        let n = self.kb.vars.len();
+        let mut out = Vec::with_capacity(lanes.len());
+        for chunk in lanes.chunks(LANE_CHUNK) {
+            let w = chunk.len();
+            let cols = self.posterior_columns(chunk);
+            self.swept(2 * w);
+            let (total, pairs) = {
+                let _sp = obs::span("ac_marginals");
+                self.kb
+                    .ac
+                    .marginals_lanes(&LogF64, w, &cols, &mut self.table)
+            };
+            out.extend((0..w).map(|l| {
+                if total[l] == f64::NEG_INFINITY {
+                    return Err(KbError::Inconsistent);
+                }
+                Ok((0..n)
+                    .map(|i| {
+                        let (mn, mp) = pairs[i * w + l];
+                        (mp - log_sum_exp(mn, mp)).exp()
+                    })
+                    .collect())
+            }));
+        }
+        out
+    }
+
+    /// The verified MPE model per lane, in sweeps of at most
+    /// [`LANE_CHUNK`] lanes (see [`KbSession::mpe_batch`] for the checks).
+    fn mpe_models<P: AsRef<[(usize, bool)]>>(
+        &mut self,
+        lanes: &[P],
+    ) -> Vec<Result<Model, KbError>> {
+        let mut out = Vec::with_capacity(lanes.len());
+        for chunk in lanes.chunks(LANE_CHUNK) {
+            let w = chunk.len();
+            let mut cols = self.posterior_columns(chunk);
+            self.swept(w);
+            let decoded = {
+                let _sp = obs::span("ac_mpe");
+                self.kb.ac.mpe_lanes(w, &cols, &mut self.table)
+            };
+            // Pin every decoded lane to its own witness and sweep once more.
+            for (l, lane) in decoded.iter().enumerate() {
+                let Some((_, polarity)) = lane else { continue };
+                for (i, &b) in polarity.iter().enumerate() {
+                    let c = &mut cols[i * w + l];
+                    if b {
+                        c.0 = f64::NEG_INFINITY;
+                    } else {
+                        c.1 = f64::NEG_INFINITY;
+                    }
+                }
+            }
+            let reweighed = self.sweep_roots(&MaxPlus, w, &cols);
+            out.extend(decoded.into_iter().zip(reweighed).map(|(lane, reweighed)| {
+                let (best, polarity) = lane.ok_or(KbError::Inconsistent)?;
+                assert!(
+                    reweighed.is_finite() && (reweighed - best).abs() <= 1e-9 * best.abs().max(1.0),
+                    "MPE witness must satisfy the circuit and its pins and reproduce the \
+                     maximum: re-evaluated {reweighed}, swept {best}"
+                );
+                let assignment = Assignment::from_pairs(self.kb.vars.iter().copied().zip(polarity));
+                debug_assert!(
+                    self.kb.sdd.eval(self.kb.root, &assignment),
+                    "MPE witness must satisfy the compiled SDD"
+                );
+                Ok(Model {
+                    assignment,
+                    log_weight: best,
+                })
+            }));
+        }
+        out
+    }
+
+    /// Run a batch query: resolve each lane's evidence to dense pins (an
+    /// unknown variable is that lane's error, and the lane sweeps with no
+    /// pins of its own), answer every lane with `body`, and put the lane
+    /// errors back in place.
+    fn batch<T>(
+        &mut self,
+        kind: QueryKind,
+        sets: &[Vec<Lit>],
+        body: impl FnOnce(&mut Self, &[&[(usize, bool)]]) -> Vec<Result<T, KbError>>,
+    ) -> Vec<Result<T, KbError>> {
+        if sets.is_empty() {
+            return Vec::new();
+        }
+        self.tracked(kind, |s| {
+            s.lanes_scratch = sets.len();
+            let pins: Vec<Result<LanePins, KbError>> = sets.iter().map(|e| s.dense(e)).collect();
+            let lanes: Vec<&[(usize, bool)]> =
+                pins.iter().map(|p| p.as_deref().unwrap_or(&[])).collect();
+            let answers = body(s, &lanes);
+            pins.into_iter()
+                .zip(answers)
+                .map(|(p, a)| p.and(a))
+                .collect()
+        })
     }
 
     /// Attach telemetry: per-query latency/hit-rate families land in
@@ -1023,37 +956,22 @@ impl KbSession {
     /// publishing it under `kind` and tracing it for the slow log.
     fn tracked<T>(&mut self, kind: QueryKind, body: impl FnOnce(&mut Self) -> T) -> T {
         let t0 = Instant::now();
-        let eval0 = stats_sum(
-            stats_sum(self.prior.stats(), self.posterior.stats()),
-            self.structural.stats(),
-        );
-        self.memo_hit_scratch = false;
+        self.eval_scratch = EvalCacheStats::default();
         self.lanes_scratch = 1;
-        self.lane_stats_scratch = EvalCacheStats::default();
         if self.obs.as_ref().is_some_and(|o| o.slow.is_some()) {
             obs::trace_begin(kind.as_str());
         }
         let out = body(self);
+        let eval = self.eval_scratch;
         self.last_query = KbQueryStats {
-            eval: stats_sum(
-                stats_sum(
-                    stats_sum(self.prior.stats(), self.posterior.stats()),
-                    self.structural.stats(),
-                )
-                .delta_since(eval0),
-                self.lane_stats_scratch,
-            ),
-            mem_bytes: self.kb.sdd.memory_bytes(),
+            eval,
+            mem_bytes: self.kb.memory_bytes(),
             duration: t0.elapsed(),
-            memo_hit: self.memo_hit_scratch,
+            memo_hit: eval.hits > 0 && eval.recomputed == 0,
             lanes: self.lanes_scratch,
         };
         if let Some(o) = self.obs.as_mut() {
             let q = &self.last_query;
-            o.kernel_lookups.add(q.eval.lookups);
-            o.kernel_hits.add(q.eval.hits);
-            o.kernel_recomputed.add(q.eval.recomputed);
-            o.mem_gauge.set(q.mem_bytes as f64);
             let h = o.kind(kind);
             h.queries.inc();
             h.latency_us.record_duration_us(q.duration);
@@ -1204,22 +1122,25 @@ mod tests {
         let kb = demo_kb();
         let mutable = kb.sdd().memory_bytes();
         let frozen = Arc::new(kb.freeze());
-        let slab = frozen.memory_bytes();
+        let slab = frozen.sdd().memory_bytes();
         assert!(slab > 0);
         // Freezing moves the slabs (exact-length allocations), so the
-        // frozen report never exceeds the mutable one.
+        // frozen slab never exceeds the mutable manager.
         assert!(
             slab <= mutable,
             "frozen slab {slab} vs mutable manager {mutable}"
         );
+        // The base's total is the slab plus the circuit its queries sweep.
+        let total = frozen.memory_bytes();
+        assert_eq!(total, slab + frozen.ac.memory_bytes());
+        assert!(total > slab);
         let mut s = frozen.session();
         let _ = s.log_weight();
-        assert_eq!(s.last_query().mem_bytes, slab);
+        assert_eq!(s.last_query().mem_bytes, total);
     }
 
-    /// The memo-hit flag separates the memoized-marginals fast path from a
-    /// real sweep — both report zero recomputation on a warm cache, but
-    /// only the memo hit skips the sweep entirely.
+    /// The memo-hit flag separates an answer a memo served from a real
+    /// sweep, and a weight change invalidates every memo.
     #[test]
     fn memo_hit_flag_distinguishes_the_fast_path() {
         let frozen = Arc::new(demo_kb().freeze());
@@ -1235,7 +1156,11 @@ mod tests {
             "weight change invalidates the memo"
         );
         let _ = s.log_weight();
-        assert!(!s.last_query().memo_hit, "non-marginal queries never hit");
+        assert!(!s.last_query().memo_hit, "first log-weight runs the sweep");
+        let _ = s.log_weight();
+        assert!(s.last_query().memo_hit, "second log-weight is a memo hit");
+        let _ = s.query(&[(v(1), true)]).unwrap();
+        assert!(!s.last_query().memo_hit, "a query sweeps its numerator");
     }
 
     /// An attached registry sees exact per-kind totals, the trace pipeline
@@ -1281,10 +1206,10 @@ mod tests {
             .histogram_value("kb_query_us", &[("kind", "marginal")])
             .expect("latency histogram exists");
         assert_eq!(lat.count, 3);
-        // Kernel families aggregate the same eval traffic.
+        // The sweep traffic is published per kind.
         let lookups = snap
-            .counter_value("sdd_eval_lookups_total", &[])
-            .expect("kernel family exists");
+            .counter_value("kb_eval_lookups_total", &[("kind", "logw")])
+            .expect("eval family exists");
         assert!(lookups > 0);
 
         // Every query was traced; the slow log retained the worst with

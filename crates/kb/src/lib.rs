@@ -31,16 +31,18 @@
 //!      lane-parallel sweep.
 //!
 //! Numeric queries run in log space ([`arith::LogF64`]) so 10k-variable
-//! weighted counts cannot underflow. The weighted-count queries go through
-//! the epoch-tagged [`sdd::eval::EvalCache`], so changing one variable's
-//! weight (or asserting one literal of evidence) re-evaluates only the
-//! dirty cone of the diagram; the two-pass queries (marginals, MPE,
-//! enumeration) sweep the unfolded circuit, still linear in its size.
+//! weighted counts cannot underflow. Every session query is a sweep of the
+//! unfolded arithmetic circuit, linear in its size — `LogF64` for weighted
+//! counts and marginals, `MaxPlus` for MPE and (over `{0, -∞}` weights)
+//! consistency and entailment, `Nat` for exact counts — with a scalar
+//! query as the one-lane case of the batched sweep. Answers that depend
+//! only on the session's weights and evidence (`ln W`, the consistency
+//! verdict, the marginals table) are memoized until the next change.
 //! Either way the compilation is paid exactly once — `exp_kb` (E14)
 //! measures warm session marginals against recompile-per-query.
 //!
 //! **Depth contract:** every engine under this crate — compilation, the
-//! cached evaluators, and the circuit sweeps — is worklist-iterative
+//! circuit unfold, and the circuit sweeps — is worklist-iterative
 //! (explicit heap-allocated stacks), so bases over chain-deep diagrams
 //! serve on a *default-size* thread stack at any variable count; this
 //! crate's own stress test drives a 100k-variable chain end to end on an
@@ -206,20 +208,20 @@ impl Model {
 #[must_use]
 #[derive(Copy, Clone, Debug, Default)]
 pub struct KbQueryStats {
-    /// Evaluation-cache traffic of the query, over the session's prior,
-    /// evidence-conditioned and structural caches (plus the lane evaluator
-    /// of a batch query): `recomputed` is the dirty cone in nodes.
+    /// Circuit traffic of the query, in gates × lanes per sweep pass (a
+    /// two-pass query counts both passes): `lookups` is what the query
+    /// needed, `hits` what a session memo served, `recomputed` what was
+    /// actually swept.
     pub eval: EvalCacheStats,
-    /// Estimated resident bytes of the shared slab
-    /// ([`FrozenKb::memory_bytes`]) — constant per base, since no query
-    /// ever interns a node.
+    /// Estimated resident bytes of the shared base
+    /// ([`FrozenKb::memory_bytes`]: slab plus circuit) — constant per
+    /// base, since no query ever interns a node.
     pub mem_bytes: usize,
     /// Wall-clock time of the query.
     pub duration: Duration,
-    /// Whether the query was answered from the marginals memo. A memo hit
-    /// reports zero eval traffic — without this flag it would be
-    /// indistinguishable from a real sweep, and hit-rate telemetry would
-    /// undercount cache effectiveness.
+    /// Whether a session memo answered the whole query, with no sweep
+    /// (`hits > 0` and `recomputed == 0`): a repeated marginal, log-weight
+    /// or consistency verdict with no weight or evidence change between.
     pub memo_hit: bool,
     /// Batch width of the query: how many evidence/weight rows one sweep
     /// answered. Scalar queries report 1; the `*_batch` session queries
@@ -298,19 +300,11 @@ impl QueryKind {
     }
 }
 
-fn stats_sum(a: EvalCacheStats, b: EvalCacheStats) -> EvalCacheStats {
-    EvalCacheStats {
-        lookups: a.lookups + b.lookups,
-        hits: a.hits + b.hits,
-        recomputed: a.recomputed + b.recomputed,
-    }
-}
-
 /// Record the pin `v := b` in a pin table; `None` marks a contradicted
 /// variable (both polarities asserted). Returns whether the table changed
 /// — a repeated pin, or any pin of an already contradicted variable, is a
 /// no-op.
-pub(crate) fn pin(pinned: &mut FxHashMap<VarId, Option<bool>>, (v, b): Lit) -> bool {
+fn pin(pinned: &mut FxHashMap<VarId, Option<bool>>, (v, b): Lit) -> bool {
     match pinned.get(&v).copied() {
         Some(Some(prev)) if prev == b => false,
         Some(None) => false,
@@ -325,26 +319,10 @@ pub(crate) fn pin(pinned: &mut FxHashMap<VarId, Option<bool>>, (v, b): Lit) -> b
     }
 }
 
-/// The evidence-adjusted log-weight pair of `v`: the pinned-away polarity
-/// weighs log 0.
-pub(crate) fn pinned_log_pair(
-    weights: &FxHashMap<VarId, (f64, f64)>,
-    pinned: &FxHashMap<VarId, Option<bool>>,
-    v: VarId,
-) -> (f64, f64) {
-    let (wn, wp) = weights[&v];
-    match pinned.get(&v) {
-        None => (wn.ln(), wp.ln()),
-        Some(Some(true)) => (f64::NEG_INFINITY, wp.ln()),
-        Some(Some(false)) => (wn.ln(), f64::NEG_INFINITY),
-        Some(None) => (f64::NEG_INFINITY, f64::NEG_INFINITY),
-    }
-}
-
 /// The *structural* log pair of `v`: weights forced to `(1, 1)` so only
 /// the pins matter. Evaluating the root under this table yields `-∞`
 /// exactly when `F ∧ e` has no model.
-pub(crate) fn structural_log_pair(pinned: &FxHashMap<VarId, Option<bool>>, v: VarId) -> (f64, f64) {
+fn structural_log_pair(pinned: &FxHashMap<VarId, Option<bool>>, v: VarId) -> (f64, f64) {
     match pinned.get(&v) {
         None => (0.0, 0.0),
         Some(Some(true)) => (f64::NEG_INFINITY, 0.0),
@@ -841,19 +819,19 @@ mod tests {
         let _ = s.weighted_count();
         let first = s.last_query();
         assert!(first.eval.lookups >= first.eval.hits);
-        assert!(first.eval.recomputed > 0, "first evaluation is cold");
+        assert!(first.eval.recomputed > 0, "first evaluation sweeps");
         let _ = s.weighted_count();
         assert_eq!(
             s.last_query().eval.recomputed,
             0,
-            "second evaluation with unchanged weights is all cache hits"
+            "second evaluation with unchanged weights is a memo hit"
         );
         s.condition(&[(v(1), true)]).unwrap();
         let _ = s.weighted_count();
         let after = s.last_query();
         assert!(
             after.eval.recomputed > 0 && after.eval.recomputed <= first.eval.recomputed,
-            "one pin re-evaluates only its dirty cone: {} of {}",
+            "one pin costs at most one sweep: {} of {}",
             after.eval.recomputed,
             first.eval.recomputed
         );

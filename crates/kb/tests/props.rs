@@ -317,6 +317,135 @@ proptest! {
     }
 }
 
+/// Brute-force `Σ weight` of the models of `f ∧ lits`.
+fn brute_weight(f: &CnfFormula, probs: &[f64], lits: &[Lit]) -> f64 {
+    brute_models(f, probs, lits).iter().map(|(_, w)| w).sum()
+}
+
+/// `P(⋀ lits | F ∧ e)` by brute force, `Inconsistent` when `W(F ∧ e) = 0`.
+fn brute_conditional(
+    f: &CnfFormula,
+    probs: &[f64],
+    evidence: &[Lit],
+    lits: &[Lit],
+) -> Result<f64, KbError> {
+    let total = brute_weight(f, probs, evidence);
+    if total == 0.0 {
+        return Err(KbError::Inconsistent);
+    }
+    let joint: Vec<Lit> = evidence.iter().chain(lits).copied().collect();
+    Ok(brute_weight(f, probs, &joint) / total)
+}
+
+/// Two conditional answers agree: the same error, or values within 1e-9.
+fn close(got: &Result<f64, KbError>, want: &Result<f64, KbError>) -> bool {
+    match (got, want) {
+        (Ok(g), Ok(w)) => (g - w).abs() < 1e-9,
+        (g, w) => g == w,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The session's epoch memos (`ln W(F)`, `ln W(F ∧ e)`, the consistency
+    /// verdict, the marginals table) against brute force: a random script
+    /// interleaves weight changes (zero weights included), evidence
+    /// (contradictions included), retracts and every read, and each answer
+    /// is checked against enumeration under the script's state so far. A
+    /// memo that survives a change it depends on answers a stale value
+    /// here.
+    #[test]
+    fn interleaved_session_ops_match_brute_force(n in 2u32..=12, m in 0usize..16, seed: u64) {
+        let (f, mut probs) = random_instance(n, m, seed);
+        let mut s = session_of(&f, &probs);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x3E30);
+        let mut evidence: Vec<Lit> = Vec::new();
+        let lit = |rng: &mut StdRng| (VarId(rng.gen_range(0..n)), rng.gen_bool(0.5));
+        let lits = |rng: &mut StdRng, max: usize| -> Vec<Lit> {
+            (0..rng.gen_range(0..=max)).map(|_| lit(rng)).collect()
+        };
+        for step in 0..40 {
+            let models = brute_models(&f, &probs, &evidence);
+            let total: f64 = models.iter().map(|(_, w)| w).sum();
+            match rng.gen_range(0..11u32) {
+                0 => {
+                    let v = rng.gen_range(0..n);
+                    let p = match rng.gen_range(0..8u32) {
+                        0 => 0.0,
+                        1 => 1.0,
+                        _ => 0.05 + 0.9 * rng.gen_range(0.0..1.0),
+                    };
+                    s.set_probability(VarId(v), p).unwrap();
+                    probs[v as usize] = p;
+                }
+                1 => {
+                    let mut e = lits(&mut rng, 2);
+                    if rng.gen_bool(0.2) {
+                        let (v, b) = lit(&mut rng);
+                        e.extend([(v, b), (v, !b)]);
+                    }
+                    evidence.extend(&e);
+                    let verdict = s.condition(&e);
+                    let sat = !brute_models(&f, &probs, &evidence).is_empty();
+                    prop_assert_eq!(verdict.is_ok(), sat, "step {} condition {:?}", step, e);
+                }
+                2 => {
+                    s.retract();
+                    evidence.clear();
+                }
+                3 => {
+                    let q = lits(&mut rng, 3);
+                    let want = brute_conditional(&f, &probs, &evidence, &q);
+                    let got = s.query(&q);
+                    prop_assert!(close(&got, &want), "step {} query {:?}: {:?} vs {:?}", step, q, got, want);
+                }
+                4 => {
+                    let qs: Vec<Vec<Lit>> = (0..rng.gen_range(1..=5usize)).map(|_| lits(&mut rng, 2)).collect();
+                    for (q, got) in qs.iter().zip(s.query_batch(&qs)) {
+                        let want = brute_conditional(&f, &probs, &evidence, q);
+                        prop_assert!(close(&got, &want), "step {} query_batch {:?}: {:?} vs {:?}", step, q, got, want);
+                    }
+                }
+                5 => {
+                    let got = s.log_weight();
+                    if total == 0.0 {
+                        prop_assert_eq!(got, f64::NEG_INFINITY, "step {} log_weight", step);
+                    } else {
+                        let want = total.ln();
+                        prop_assert!((got - want).abs() < 1e-9 * want.abs().max(1.0), "step {} log_weight {} vs {}", step, got, want);
+                    }
+                }
+                6 => {
+                    let prior = brute_weight(&f, &probs, &[]);
+                    let want = if prior == 0.0 { Err(KbError::Inconsistent) } else { Ok(total / prior) };
+                    let got = s.probability_of_evidence();
+                    prop_assert!(close(&got, &want), "step {} pe: {:?} vs {:?}", step, got, want);
+                }
+                7 => {
+                    let v = VarId(rng.gen_range(0..n));
+                    let want = brute_conditional(&f, &probs, &evidence, &[(v, true)]);
+                    let got = s.marginal(v);
+                    prop_assert!(close(&got, &want), "step {} marginal {}: {:?} vs {:?}", step, v, got, want);
+                }
+                8 => prop_assert_eq!(s.is_consistent(), !models.is_empty(), "step {} is_consistent", step),
+                9 => {
+                    let clause = lits(&mut rng, 3);
+                    let holds = models.iter().all(|&(mask, _)| {
+                        clause.iter().any(|&(v, b)| (mask >> v.0 & 1 == 1) == b)
+                    });
+                    prop_assert_eq!(s.entails(&clause), Ok(holds), "step {} entails {:?}", step, clause);
+                }
+                _ => prop_assert_eq!(
+                    s.count_models().to_u128(),
+                    Some(models.len() as u128),
+                    "step {} count_models", step
+                ),
+            }
+        }
+    }
+}
+
 /// A random batch of evidence sets (0–2 literals each) over `n` variables.
 fn random_batch(n: u32, lanes: usize, rng: &mut StdRng) -> Vec<Vec<Lit>> {
     (0..lanes)

@@ -21,17 +21,17 @@
 //! * [`SddManager::weighted_count`] / [`SddManager::probability`] —
 //!   `arith::F64`: the fast approximate path.
 //!
-//! For the compile-once/serve-many regime (`kb::KbSession`), the
-//! one-shot traversal is the wrong shape: every query re-walks the whole
-//! diagram even when only one variable's weight moved. [`EvalCache`] is the
-//! incremental form of the same engine — per-node values carry **epoch
-//! stamps**, each vtree node remembers the last epoch a weight below it
-//! changed, and a re-evaluation recomputes exactly the *dirty cone* (the
-//! vtree ancestors of the changed leaves and the SDD nodes structured by
-//! them), answering everything else from cache.
+//! [`EvalCache`] is the incremental form of the same engine — per-node
+//! values carry **epoch stamps**, each vtree node remembers the last epoch
+//! a weight below it changed, and a re-evaluation recomputes exactly the
+//! *dirty cone* (the vtree ancestors of the changed leaves and the SDD
+//! nodes structured by them), answering everything else from cache.
+//! Serving sessions (`kb::KbSession`) do not use it: they sweep the
+//! unfolded arithmetic circuit instead. It remains for the repo
+//! benchmark's traced dirty-cone measurement.
 
 use crate::{FrozenSdd, SddId, SddManager, SddNode, SddRead};
-use arith::{BigUint, LaneSemiring, Nat, Rat, Rational, Semiring, F64};
+use arith::{BigUint, Nat, Rat, Rational, Semiring, F64};
 use vtree::fxhash::FxHashMap;
 use vtree::{VarId, VtreeNodeId};
 
@@ -384,8 +384,9 @@ impl<E> RawFrame<E> {
     }
 }
 
-/// Cache-traffic counters of an [`EvalCache`], reported per evaluation run
-/// so serving layers can show how small the dirty cone actually was.
+/// Evaluation-traffic counters. An [`EvalCache`] counts decision nodes, so
+/// its numbers show how small the dirty cone was; `kb::KbQueryStats`
+/// reuses the type for circuit sweeps, counted in gates × lanes.
 #[must_use]
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct EvalCacheStats {
@@ -405,16 +406,6 @@ impl EvalCacheStats {
             hits: self.hits.saturating_sub(earlier.hits),
             recomputed: self.recomputed.saturating_sub(earlier.recomputed),
         }
-    }
-
-    /// Publish these counters (typically a [`delta_since`](Self::delta_since)
-    /// delta) into the kernel's telemetry families: `sdd_eval_lookups_total`,
-    /// `sdd_eval_hits_total`, `sdd_eval_recomputed_total`.
-    pub fn publish(&self, reg: &obs::MetricsRegistry) {
-        reg.counter("sdd_eval_lookups_total", &[]).add(self.lookups);
-        reg.counter("sdd_eval_hits_total", &[]).add(self.hits);
-        reg.counter("sdd_eval_recomputed_total", &[])
-            .add(self.recomputed);
     }
 }
 
@@ -699,239 +690,6 @@ impl<S: Semiring> EvalCache<S> {
     }
 }
 
-/// The **batched** form of [`EvalCache`]: `lanes` weight rows evaluated
-/// per node visit, answers returned as a column of `lanes` elements.
-///
-/// Values are stored struct-of-arrays — one contiguous column of `lanes`
-/// elements per decision node and per vtree gap — so every node visit is a
-/// straight-line loop over a contiguous column ([`LaneSemiring`]), paying
-/// the node dispatch (topological walk, vtree smoothing walks, hash
-/// lookups) once per node instead of once per node *per query*. Per lane,
-/// the op sequence is exactly the scalar engine's, so lane `l`'s answer is
-/// bit-identical to an [`EvalCache`] evaluation under lane `l`'s weights
-/// (`kb` proptests this).
-///
-/// The epoch story collapses per-lane dirty cones into one union: every
-/// [`EvalLanes::set_lane_weight`] bumps the shared epoch and stamps the
-/// leaf-to-root vtree path, exactly like the scalar cache — a re-evaluation
-/// recomputes the union of all lanes' dirty cones once, as columns.
-/// The `(w⁻, w⁺)` lane columns for one variable.
-type LaneWeightCols<E> = (Vec<E>, Vec<E>);
-
-pub struct EvalLanes<S: LaneSemiring> {
-    mgr_uid: u64,
-    semiring: S,
-    lanes: usize,
-    epoch: u64,
-    /// Per variable: the `(w⁻, w⁺)` lane columns.
-    weights: FxHashMap<VarId, LaneWeightCols<S::Elem>>,
-    /// Per vtree node: the last epoch any weight below it changed.
-    vnode_epoch: Vec<u64>,
-    /// Per vtree node: stamped smoothing-product column.
-    gap: Vec<Option<(u64, Vec<S::Elem>)>>,
-    /// Per decision node: stamped raw (unsmoothed) value column.
-    raw: FxHashMap<SddId, (u64, Vec<S::Elem>)>,
-    vtree_postorder: Vec<VtreeNodeId>,
-    stats: EvalCacheStats,
-}
-
-impl<S: LaneSemiring> EvalLanes<S> {
-    /// A fresh `lanes`-wide evaluator over `mgr`'s vtree; every lane starts
-    /// from the same base weights `weight(v, polarity)` (diverge them with
-    /// [`EvalLanes::set_lane_weight`]).
-    pub fn new(
-        mgr: &(impl SddRead + ?Sized),
-        semiring: S,
-        lanes: usize,
-        weight: impl Fn(VarId, bool) -> S::Elem,
-    ) -> Self {
-        assert!(lanes > 0, "a batch has at least one lane");
-        let mut weights = FxHashMap::default();
-        for &v in mgr.vtree().vars() {
-            let wn = weight(v, false);
-            let wp = weight(v, true);
-            weights.insert(v, (vec![wn; lanes], vec![wp; lanes]));
-        }
-        EvalLanes {
-            mgr_uid: mgr.uid(),
-            semiring,
-            lanes,
-            epoch: 0,
-            weights,
-            vnode_epoch: vec![0; mgr.vtree().num_nodes()],
-            gap: vec![None; mgr.vtree().num_nodes()],
-            raw: FxHashMap::default(),
-            vtree_postorder: mgr.vtree().bottom_up_order(),
-            stats: EvalCacheStats::default(),
-        }
-    }
-
-    /// The batch width.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Lifetime cache-traffic counters (column recomputations count once,
-    /// not once per lane — the whole point of batching).
-    pub fn stats(&self) -> EvalCacheStats {
-        self.stats
-    }
-
-    /// Update one lane's weight pair for `v`. Stamps the same leaf-to-root
-    /// vtree cone as the scalar cache — all lanes share the epoch, so N
-    /// per-lane updates dirty one cone union, recomputed once as columns.
-    pub fn set_lane_weight(
-        &mut self,
-        mgr: &(impl SddRead + ?Sized),
-        v: VarId,
-        lane: usize,
-        neg: S::Elem,
-        pos: S::Elem,
-    ) {
-        self.check_binding(mgr);
-        let leaf = mgr.vtree().leaf_of_var(v).expect("weight var in the vtree");
-        self.epoch += 1;
-        let (wn, wp) = self.weights.get_mut(&v).expect("var in the vtree");
-        wn[lane] = neg;
-        wp[lane] = pos;
-        let mut cur = Some(leaf);
-        while let Some(n) = cur {
-            self.vnode_epoch[n.index()] = self.epoch;
-            cur = mgr.vtree().parent(n);
-        }
-    }
-
-    /// Evaluate `root` for all lanes at once, returning the root column
-    /// (`lanes` elements, one per weight row). Reuses every cached column
-    /// the weight changes since the last call did not invalidate. The
-    /// traversal is an indexed sweep over the reachable decisions in
-    /// interning order (children precede parents), so its depth is constant
-    /// — the iterative-engine invariant holds for the batched sweep too.
-    pub fn evaluate(&mut self, mgr: &(impl SddRead + ?Sized), root: SddId) -> Vec<S::Elem> {
-        self.check_binding(mgr);
-        self.refresh_gaps(mgr);
-        let lanes = self.lanes;
-        let mut decisions = mgr.reachable_decisions(root);
-        decisions.sort_unstable();
-        // Scratch columns, allocated once per evaluation.
-        let mut pc = vec![self.semiring.zero(); lanes];
-        let mut sc = vec![self.semiring.zero(); lanes];
-        let mut smooth = vec![self.semiring.zero(); lanes];
-        for a in decisions {
-            let SddNode::Decision { vnode, .. } = mgr.node(a) else {
-                unreachable!("reachable_decisions returns decisions");
-            };
-            let vnode = *vnode;
-            self.stats.lookups += 1;
-            if let Some((stamp, _)) = self.raw.get(&a) {
-                if *stamp >= self.vnode_epoch[vnode.index()] {
-                    self.stats.hits += 1;
-                    continue;
-                }
-            }
-            self.stats.recomputed += 1;
-            let (lv, rv) = mgr.vtree().children(vnode).expect("internal vnode");
-            let mut total = vec![self.semiring.zero(); lanes];
-            for &(p, s) in mgr.elements_of(a) {
-                self.scoped_col(mgr, p, lv, &mut pc, &mut smooth);
-                self.scoped_col(mgr, s, rv, &mut sc, &mut smooth);
-                self.semiring.mul_add_assign_lanes(&mut total, &pc, &sc);
-            }
-            self.raw.insert(a, (self.epoch, total));
-        }
-        let mut out = vec![self.semiring.zero(); lanes];
-        self.scoped_col(mgr, root, mgr.vtree().root(), &mut out, &mut smooth);
-        out
-    }
-
-    fn check_binding(&self, mgr: &(impl SddRead + ?Sized)) {
-        assert_eq!(
-            self.mgr_uid,
-            mgr.uid(),
-            "EvalLanes is bound to the manager it was created with"
-        );
-    }
-
-    /// Recompute the gap columns whose subtree saw a weight change — the
-    /// lane form of [`EvalCache::refresh_gaps`], same stamps, same order.
-    fn refresh_gaps(&mut self, mgr: &(impl SddRead + ?Sized)) {
-        for i in 0..self.vtree_postorder.len() {
-            let n = self.vtree_postorder[i];
-            let need = self.vnode_epoch[n.index()];
-            if matches!(&self.gap[n.index()], Some((stamp, _)) if *stamp >= need) {
-                continue;
-            }
-            let g: Vec<S::Elem> = match mgr.vtree().children(n) {
-                None => {
-                    let v = mgr.vtree().leaf_var(n).expect("leaf");
-                    let (wn, wp) = &self.weights[&v];
-                    // Per lane: add(w⁻, w⁺), the scalar leaf gap.
-                    wn.iter()
-                        .zip(wp)
-                        .map(|(a, b)| self.semiring.add(a, b))
-                        .collect()
-                }
-                Some((l, r)) => {
-                    let mut col = self.gap[l.index()].as_ref().expect("postorder").1.clone();
-                    let gr = &self.gap[r.index()].as_ref().expect("postorder").1;
-                    self.semiring.mul_assign_lanes(&mut col, gr);
-                    col
-                }
-            };
-            self.gap[n.index()] = Some((self.epoch, g));
-        }
-    }
-
-    fn gap_col(&self, t: VtreeNodeId) -> &[S::Elem] {
-        &self.gap[t.index()].as_ref().expect("gaps refreshed").1
-    }
-
-    /// Write the column of `a` over the scope of vtree node `scope` into
-    /// `out`. `smooth` is caller-provided scratch for the smoothing fold —
-    /// per lane, the sequence `one, ⊗gap, …, base ⊗ smooth` is exactly the
-    /// scalar [`EvalCache::scoped`] sequence, keeping lanes bit-identical.
-    fn scoped_col(
-        &self,
-        mgr: &(impl SddRead + ?Sized),
-        a: SddId,
-        scope: VtreeNodeId,
-        out: &mut [S::Elem],
-        smooth: &mut [S::Elem],
-    ) {
-        match mgr.node(a) {
-            SddNode::False => self.semiring.zero_fill(out),
-            SddNode::True => out.clone_from_slice(self.gap_col(scope)),
-            SddNode::Literal { var, positive } => {
-                let (wn, wp) = &self.weights[var];
-                let lit: &[S::Elem] = if *positive { wp } else { wn };
-                let leaf = mgr.vtree().leaf_of_var(*var).expect("var in vtree");
-                self.smoothing_col(mgr, scope, leaf, smooth);
-                self.semiring.mul_lanes_into(out, lit, smooth);
-            }
-            SddNode::Decision { vnode, .. } => {
-                let raw = &self.raw.get(&a).expect("children sweep first").1;
-                self.smoothing_col(mgr, scope, *vnode, smooth);
-                self.semiring.mul_lanes_into(out, raw, smooth);
-            }
-        }
-    }
-
-    /// Smoothing-product column over the variables below `scope` but not
-    /// below `target`, written into `out`.
-    fn smoothing_col(
-        &self,
-        mgr: &(impl SddRead + ?Sized),
-        scope: VtreeNodeId,
-        target: VtreeNodeId,
-        out: &mut [S::Elem],
-    ) {
-        self.semiring.one_fill(out);
-        mgr.vtree().gap_subtrees(scope, target, |t| {
-            self.semiring.mul_assign_lanes(out, self.gap_col(t));
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1140,120 +898,6 @@ mod tests {
         let mut cache = EvalCache::new(&a, F64, |_, _| 0.5);
         let _ = cache.evaluate(&a, ra);
         let _ = cache.evaluate(&b, rb); // must panic, not mis-serve
-    }
-
-    #[test]
-    fn eval_lanes_is_bit_identical_to_the_scalar_cache_per_lane() {
-        use arith::LogF64;
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
-        let f = BoolFn::random(VarSet::from_slice(&vars(8)), &mut rng);
-        let mut m = SddManager::new(Vtree::balanced(&vars(8)).unwrap());
-        let r = m.from_boolfn(&f);
-        let lanes = 5;
-        // Per-lane probability tables, deliberately distinct.
-        let prob = |v: usize, l: usize| 0.05 + ((v * 7 + l * 13) % 17) as f64 / 20.0;
-        let mut batch = EvalLanes::new(&m, LogF64, lanes, |v, pos| {
-            let p = prob(v.index(), 0);
-            if pos {
-                p.ln()
-            } else {
-                (1.0 - p).ln()
-            }
-        });
-        for l in 1..lanes {
-            for v in 0..8 {
-                let p = prob(v, l);
-                batch.set_lane_weight(&m, VarId(v as u32), l, (1.0 - p).ln(), p.ln());
-            }
-        }
-        let col = batch.evaluate(&m, r);
-        for (l, got) in col.iter().enumerate() {
-            let mut scalar = EvalCache::new(&m, LogF64, |v, pos| {
-                let p = prob(v.index(), l);
-                if pos {
-                    p.ln()
-                } else {
-                    (1.0 - p).ln()
-                }
-            });
-            let want = scalar.evaluate(&m, r);
-            assert_eq!(
-                got.to_bits(),
-                want.to_bits(),
-                "lane {l}: {got} vs scalar {want}"
-            );
-        }
-    }
-
-    #[test]
-    fn eval_lanes_dirty_cone_union_recomputes_once_and_matches_fresh() {
-        let n = 16u32;
-        let mut m = SddManager::new(Vtree::balanced(&vars(n)).unwrap());
-        let mut g = TRUE;
-        for i in 0..n {
-            let x = m.literal(VarId(i), true);
-            let o = if i % 3 == 0 { x } else { m.negate(x) };
-            g = m.and(g, o);
-        }
-        let lanes = 4;
-        let mut batch = EvalLanes::new(&m, F64, lanes, |_, _| 0.5);
-        let _ = batch.evaluate(&m, g);
-        let cold = batch.stats();
-        assert!(cold.recomputed > 0);
-        // Clean re-evaluation: all hits.
-        let _ = batch.evaluate(&m, g);
-        let warm = batch.stats().delta_since(cold);
-        assert_eq!(warm.recomputed, 0, "clean lanes must not recompute");
-        // Two different lanes dirty two different variables: the union cone
-        // is recomputed once (column-wise), and every lane's value matches
-        // a fresh evaluator with the same weights.
-        batch.set_lane_weight(&m, VarId(2), 1, 0.25, 0.75);
-        batch.set_lane_weight(&m, VarId(13), 3, 0.1, 0.9);
-        let before = batch.stats();
-        let col = batch.evaluate(&m, g);
-        let dirty = batch.stats().delta_since(before);
-        assert!(dirty.recomputed > 0, "the union cone is dirty");
-        assert!(
-            dirty.recomputed < cold.recomputed,
-            "union cone ({}) smaller than the full diagram ({})",
-            dirty.recomputed,
-            cold.recomputed
-        );
-        let mut fresh = EvalLanes::new(&m, F64, lanes, |_, _| 0.5);
-        fresh.set_lane_weight(&m, VarId(2), 1, 0.25, 0.75);
-        fresh.set_lane_weight(&m, VarId(13), 3, 0.1, 0.9);
-        let want = fresh.evaluate(&m, g);
-        for l in 0..lanes {
-            assert_eq!(col[l].to_bits(), want[l].to_bits(), "lane {l}");
-        }
-    }
-
-    #[test]
-    fn eval_lanes_width_one_is_the_scalar_instantiation() {
-        let mut m = SddManager::new(Vtree::right_linear(&vars(5)).unwrap());
-        let x0 = m.literal(VarId(0), true);
-        let x3 = m.literal(VarId(3), false);
-        let g = m.and(x0, x3);
-        let mut one = EvalLanes::new(&m, F64, 1, |_, _| 1.0);
-        assert_eq!(one.lanes(), 1);
-        let col = one.evaluate(&m, g);
-        assert_eq!(col, vec![8.0]); // 2 pinned, 3 free
-    }
-
-    #[test]
-    #[should_panic(expected = "bound to the manager")]
-    fn eval_lanes_rejects_a_different_manager() {
-        let mut a = SddManager::new(Vtree::balanced(&vars(4)).unwrap());
-        let b = SddManager::new(Vtree::balanced(&vars(4)).unwrap());
-        let ra = {
-            let x = a.literal(VarId(0), true);
-            let y = a.literal(VarId(1), true);
-            a.and(x, y)
-        };
-        let mut lanes = EvalLanes::new(&a, F64, 2, |_, _| 0.5);
-        let _ = lanes.evaluate(&a, ra);
-        let _ = lanes.evaluate(&b, ra); // must panic, not mis-serve
     }
 
     #[test]

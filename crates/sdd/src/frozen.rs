@@ -8,7 +8,7 @@
 //! [`FrozenSdd`], which is `Send + Sync` and shared via `Arc`. Freezing is
 //! **zero-copy** (the vectors move into boxed slices; node ids, arena
 //! offsets and the manager [`uid`](FrozenSdd::uid) are all unchanged, so
-//! `SddId`s and bound `EvalCache`s stay valid). The interning tables
+//! `SddId`s, and anything keyed by them, stay valid). The interning tables
 //! (unique table, literal cache) and the apply memos are dropped: a slab
 //! is only ever read, never extended.
 
@@ -18,9 +18,9 @@ use std::sync::Arc;
 use vtree::Vtree;
 
 /// An immutable SDD slab: every node and element of a finished manager.
-/// `Send + Sync`; share it with `Arc` and evaluate from any number of
-/// threads through [`SddRead`] (e.g. `eval::EvalCache` instances, one per
-/// thread, all bound to this slab's uid).
+/// `Send + Sync`; share it with `Arc` and read it from any number of
+/// threads through [`SddRead`] (one-shot evaluation, model checks, the
+/// snapshot writer).
 pub struct FrozenSdd {
     pub(crate) vtree: Arc<Vtree>,
     pub(crate) nodes: Box<[SddNode]>,
@@ -44,7 +44,7 @@ impl SddManager {
     /// End the mutable phase: turn this manager into an immutable
     /// [`FrozenSdd`] slab. Zero-copy — the vectors move into boxed slices,
     /// and node ids, arena offsets and [`SddManager::uid`] are unchanged
-    /// (an `EvalCache` created against this manager keeps working against
+    /// (anything keyed by this manager's node ids keeps working against
     /// the slab).
     pub fn freeze(self) -> FrozenSdd {
         FrozenSdd {

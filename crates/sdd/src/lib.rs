@@ -61,9 +61,10 @@
 //! into an immutable [`FrozenSdd`] — the node table, element arena and
 //! negation array as plain slabs, `Send + Sync`, shared across threads via
 //! `Arc` (module [`frozen`]). Everything read-only is abstracted by the
-//! [`SddRead`] trait, so evaluation (one-shot and [`eval::EvalCache`])
-//! runs unchanged over managers and frozen slabs. Freezing ends the
-//! structural phase for good: a slab is never reopened for apply.
+//! [`SddRead`] trait, so evaluation runs unchanged over managers and
+//! frozen slabs. Freezing ends the structural phase for good: a slab is
+//! never reopened for apply, and serving sessions (`kb::KbSession`) answer
+//! from the arithmetic circuit unfolded from it, not from the slab.
 
 pub mod eval;
 pub mod frozen;

@@ -299,8 +299,8 @@ pub fn parse_request(line: &str) -> Result<Option<Request>, ProtocolError> {
 
 /// Lifetime counters of one shard worker, reported by
 /// [`ClientHandle::stats`] and returned by [`KbServer::shutdown`]. The eval counters aggregate the
-/// per-query [`kb::KbQueryStats`] deltas across every session the shard
-/// owns, so a serving deployment sees how warm its caches run.
+/// per-query [`kb::KbQueryStats`] sweep traffic across every session the
+/// shard owns, so a serving deployment sees how often its memos answer.
 #[derive(Clone, Debug, Default)]
 pub struct ShardStats {
     /// Shard index.
@@ -316,11 +316,11 @@ pub struct ShardStats {
     /// queries are expensive (busy grows) or because it is oversubscribed
     /// (queue wait grows) — operators need to tell those apart.
     pub queue_wait: Duration,
-    /// Evaluation-cache lookups across all queries.
+    /// Circuit gates × lanes the queries needed.
     pub eval_lookups: u64,
-    /// Lookups answered from a still-valid cached value.
+    /// Of those, answered from a session memo.
     pub eval_hits: u64,
-    /// Node values recomputed (total dirty-cone size).
+    /// Of those, actually swept.
     pub eval_recomputed: u64,
     /// Requests answered by riding another request's sweep — for every
     /// coalesced group of width `w ≥ 2`, the `w − 1` followers count here.

@@ -229,7 +229,7 @@ fn pool_metrics_cover_kernel_kb_and_serve_families() {
         "{text}"
     );
     assert!(text.contains("compile_last_width{param=\"sdw\"}"), "{text}");
-    // Kb tier: per-kind latency histograms and eval-cache counters.
+    // Kb tier: per-kind latency histograms and sweep-traffic counters.
     assert!(
         text.contains("kb_query_us_count{kind=\"marginal\"}"),
         "{text}"

@@ -627,8 +627,9 @@ impl Vtree {
     /// `scope`), visiting the root of every subtree branched *away* from —
     /// exactly the subtrees whose variables lie below `scope` but not
     /// below `target`. This is the smoothing walk shared by every
-    /// gap-smoothed evaluation (`sdd::eval::{Evaluator, EvalCache}`,
-    /// `kb`'s arithmetic-circuit builder).
+    /// gap-smoothed evaluation: the SDD evaluators in `sdd::eval`, and the
+    /// `kb` unfold that bakes the smoothing into the arithmetic circuit
+    /// serving sessions sweep.
     ///
     /// Panics if `target` is not below `scope`.
     pub fn gap_subtrees(

@@ -96,8 +96,8 @@ c p weight -4 0.5 0
     // the per-lane telemetry feeds kb_batch_lanes_total / kb_lane_us.
     let stats = session.last_query();
     println!(
-        "\nlast batch: {} lanes, {} gate lookups, {:?} total",
-        stats.lanes, stats.eval.lookups, stats.duration
+        "\nlast batch: {} lanes, {} gates × lanes swept, {:?} total",
+        stats.lanes, stats.eval.recomputed, stats.duration
     );
 
     // The same batch over the wire: protocol 3's `batch` verb — one

@@ -5,7 +5,7 @@
 //! Every tier publishes into `crates/obs`: the compiler's stage timings
 //! and the paper's width parameters (tw/fw/fiw/sdw) land as histograms
 //! and gauges at boot, every `KbSession` query bumps a per-kind latency
-//! histogram and eval-cache counters, and the server grafts per-shard
+//! histogram and its sweep-traffic counters, and the server grafts per-shard
 //! request/busy/queue-wait counters on top — one merged scrape for the
 //! whole pool. When a slow log is attached, each query also assembles a
 //! trace (stage spans + counters) and the N worst are retained for

@@ -108,11 +108,12 @@ c p weight -4 0.5 0
         1u32 << 4
     );
 
-    // What did the last query cost? Per-query stats never accumulate.
+    // What did the last query cost? Per-query stats never accumulate; a
+    // repeated weighted count is served by the session's memo, no sweep.
     let _ = kb.weighted_count();
     let stats = kb.last_query();
     println!(
-        "\nlast query: {} gate lookups, {} answered from cache, {} recomputed ({:?})",
+        "\nlast query: {} circuit gates needed, {} answered from a memo, {} swept ({:?})",
         stats.eval.lookups, stats.eval.hits, stats.eval.recomputed, stats.duration
     );
 
