@@ -9,18 +9,20 @@
 //! listed as `fresh-only` warnings (a metric without a committed baseline
 //! is usually a new axis someone forgot to re-commit — surfacing it keeps
 //! the baseline honest without failing the build). Timing metrics
-//! (`*_ms`/`*_us`) that moved
-//! more than 25% are flagged `WARN`, but by default the exit code is
-//! always 0: this step reports perf drift, it does not gate CI (timings
-//! on shared runners are too noisy for a hard threshold).
+//! (`*_ms`/`*_us`, lower is better) and rate metrics (`*_per_us`, higher
+//! is better) that moved more than 25% are flagged `WARN`, but by default
+//! the exit code is always 0: this step reports perf drift, it does not
+//! gate CI (timings on shared runners are too noisy for a hard threshold).
 //!
 //! `--max-regress <pct>` opts into a hard gate: the exit code becomes
 //! nonzero when any timing metric *regressed* (got slower) by more than
-//! `<pct>` percent. CI runs the gate at 200% (a 3× slowdown fails the
-//! build): across 3 back-to-back smoke runs on one machine the worst
-//! observed drift on these microsecond windows was +102%, so the gate
-//! sits about 2× above measured noise while still catching
-//! order-of-magnitude regressions.
+//! `<pct>` percent, measured as `new/old − 1`, or any rate metric fell by
+//! more than `<pct>` percent, measured as `old/new − 1` — so a 3× slowdown
+//! trips a 200% gate the same way whether it shows as a time or a rate.
+//! CI runs the gate at 200% (a 3× slowdown fails the build): across 3
+//! back-to-back smoke runs on one machine the worst observed drift on
+//! these microsecond windows was +102%, so the gate sits about 2× above
+//! measured noise while still catching order-of-magnitude regressions.
 
 use sentential_bench::{parse_records, Record, Table};
 use std::collections::BTreeMap;
@@ -43,6 +45,50 @@ fn load(path: &str) -> Option<Vec<Record>> {
             println!("bench_diff: cannot parse {path}: {e} — skipping diff");
             None
         }
+    }
+}
+
+/// How the gate reads a metric, by its name.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+enum Kind {
+    /// `*_ms` / `*_us`: a duration, lower is better.
+    Timing,
+    /// `*_per_us`: a throughput, higher is better.
+    Rate,
+    /// Sizes, counts, ratios: reported, never gated.
+    Other,
+}
+
+fn classify(metric: &str) -> Kind {
+    if metric.ends_with("_per_us") {
+        Kind::Rate
+    } else if metric.ends_with("_ms") || metric.ends_with("_us") {
+        Kind::Timing
+    } else {
+        Kind::Other
+    }
+}
+
+/// How much worse `new` is than `old`, in percent: `new/old − 1` for a
+/// timing, `old/new − 1` for a rate (a fall to a third reads +200%, like
+/// a threefold slowdown). `None` for ungated metrics.
+fn regress_pct(kind: Kind, old: f64, new: f64) -> Option<f64> {
+    // `bad / good − 1`, where `good` is the side that would be better.
+    let pct = |good: f64, bad: f64| {
+        if good == 0.0 {
+            if bad == 0.0 {
+                0.0
+            } else {
+                f64::INFINITY
+            }
+        } else {
+            (bad / good - 1.0) * 100.0
+        }
+    };
+    match kind {
+        Kind::Timing => Some(pct(old, new)),
+        Kind::Rate => Some(pct(new, old)),
+        Kind::Other => None,
     }
 }
 
@@ -117,15 +163,13 @@ fn main() -> ExitCode {
         } else {
             (new_v - old_v) / old_v * 100.0
         };
-        let is_timing = metric.ends_with("_ms") || metric.ends_with("_us");
-        if is_timing {
-            if let Some(limit) = max_regress {
-                if delta_pct > limit {
-                    regressions.push((format!("{exp}/{series}/{x}/{metric}"), delta_pct));
-                }
+        let kind = classify(metric);
+        if let (Some(limit), Some(worse)) = (max_regress, regress_pct(kind, *old_v, *new_v)) {
+            if worse > limit {
+                regressions.push((format!("{exp}/{series}/{x}/{metric}"), worse));
             }
         }
-        let flag = if is_timing && delta_pct.abs() > WARN_PCT {
+        let flag = if kind != Kind::Other && delta_pct.abs() > WARN_PCT {
             warned += 1;
             "WARN"
         } else {
@@ -167,15 +211,15 @@ fn main() -> ExitCode {
     }
     if warned > 0 {
         println!(
-            "\n{warned} timing metric(s) moved more than {WARN_PCT}% — perf drift, not a failure."
+            "\n{warned} timing/rate metric(s) moved more than {WARN_PCT}% — perf drift, not a failure."
         );
     } else {
-        println!("\nno timing metric moved more than {WARN_PCT}%.");
+        println!("\nno timing/rate metric moved more than {WARN_PCT}%.");
     }
     if let Some(limit) = max_regress {
         if !regressions.is_empty() {
             println!(
-                "\n--max-regress {limit}%: {} timing metric(s) regressed past the gate:",
+                "\n--max-regress {limit}%: {} timing/rate metric(s) regressed past the gate:",
                 regressions.len()
             );
             for (key, pct) in &regressions {
@@ -183,7 +227,35 @@ fn main() -> ExitCode {
             }
             return ExitCode::FAILURE;
         }
-        println!("\n--max-regress {limit}%: no timing regression past the gate.");
+        println!("\n--max-regress {limit}%: no timing/rate regression past the gate.");
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn metrics_are_classified_by_suffix() {
+        assert_eq!(classify("apply_per_us"), Kind::Rate);
+        assert_eq!(classify("compile_ms"), Kind::Timing);
+        assert_eq!(classify("warm_query_us"), Kind::Timing);
+        assert_eq!(classify("sdd_size"), Kind::Other);
+        assert_eq!(classify("speedup"), Kind::Other);
+    }
+
+    #[test]
+    fn rates_regress_when_they_fall_and_timings_when_they_rise() {
+        // A threefold slowdown reads +200% either way.
+        assert_eq!(regress_pct(Kind::Timing, 10.0, 30.0), Some(200.0));
+        assert_eq!(regress_pct(Kind::Rate, 30.0, 10.0), Some(200.0));
+        // Improvements are negative, however large.
+        assert!(regress_pct(Kind::Timing, 30.0, 1.0).unwrap() < 0.0);
+        assert!(regress_pct(Kind::Rate, 1.0, 30.0).unwrap() < 0.0);
+        // A rate that drops to zero regresses without bound.
+        assert_eq!(regress_pct(Kind::Rate, 5.0, 0.0), Some(f64::INFINITY));
+        assert_eq!(regress_pct(Kind::Timing, 0.0, 0.0), Some(0.0));
+        assert_eq!(regress_pct(Kind::Other, 1.0, 100.0), None);
+    }
 }

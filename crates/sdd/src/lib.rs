@@ -133,6 +133,17 @@ enum Op {
     Or = 1,
 }
 
+impl Op {
+    /// The constant that decides `op` on its own: ⊥ under ∧, ⊤ under ∨.
+    #[inline]
+    fn absorbing(self) -> SddId {
+        match self {
+            Op::And => FALSE,
+            Op::Or => TRUE,
+        }
+    }
+}
+
 /// The packed apply-cache key: 2 op bits + 2×31-bit node ids. Node ids are
 /// capped at 2³¹ by the manager ([`SddManager::push_node`] asserts), so the
 /// packing is injective.
@@ -179,6 +190,10 @@ fn decision_hash(vnode: VtreeNodeId, elems: &[(SddId, SddId)]) -> u64 {
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct ApplyStats {
     /// Binary apply (`and`/`or`) invocations, including recursive ones.
+    /// Combinations the cross product settles structurally are not
+    /// invocations and are not counted: a ⊤ prime, and every element pair
+    /// whose sub is the operation's absorbing constant (⊥ under ∧, ⊤
+    /// under ∨), which costs at most one trailing `or` per product.
     pub apply_calls: u64,
     /// Apply invocations answered from the memo table.
     pub cache_hits: u64,
@@ -925,6 +940,16 @@ impl SddManager {
     }
 
     /// The element cross product of an uncached apply, recursively.
+    ///
+    /// Pairs in which either sub is the absorbing constant of `op` (⊥
+    /// under ∧, ⊤ under ∨) are skipped: their sub is that constant
+    /// whatever the partner holds. A compressed operand has at most one
+    /// such element, and the primes of each operand partition ⊤, so the
+    /// skipped pairs' primes join to exactly `pa_abs ∨ pb_abs` — one
+    /// trailing element `(pa_abs ∨ pb_abs, abs)` stands for all of them
+    /// and `build_rec` canonicalizes the rest as before. A left-side
+    /// normalization `{(x, ⊤), (¬x, ⊥)}` always has such an element, so
+    /// the shortcut drops half of its pairs outright.
     fn cross_rec(
         &mut self,
         op: Op,
@@ -934,12 +959,19 @@ impl SddManager {
         eb: Elems,
         fuel: u32,
     ) -> SddId {
+        let abs = op.absorbing();
         let mut out = self.take_buf();
         out.reserve(ea.len() * eb.len());
         for i in 0..ea.len() {
+            let (pa, sa) = ea.get(self, i);
+            if sa == abs {
+                continue;
+            }
             for j in 0..eb.len() {
-                let (pa, sa) = ea.get(self, i);
                 let (pb, sb) = eb.get(self, j);
+                if sb == abs {
+                    continue;
+                }
                 // ⊤-conjunctions resolve structurally (primes are never
                 // ⊥, so `pa ∧ ⊤ = pa` needs no apply at all — singleton
                 // `{(⊤, x)}` normalizations make it the most common
@@ -958,6 +990,14 @@ impl SddManager {
                 let s = self.apply_rec(op, sa, sb, fuel - 1);
                 out.push((p, s));
             }
+        }
+        match (ea.prime_of_sub(self, abs), eb.prime_of_sub(self, abs)) {
+            (Some(pa), Some(pb)) => {
+                let p = self.apply_rec(Op::Or, pa, pb, fuel - 1);
+                out.push((p, abs));
+            }
+            (Some(p), None) | (None, Some(p)) => out.push((p, abs)),
+            (None, None) => {}
         }
         let r = self.build_rec(vnode, out, fuel);
         self.apply_cache.insert(key, r.0);
@@ -1063,6 +1103,17 @@ impl SddManager {
     // depth regardless of how deep the remaining structure is.
     // ------------------------------------------------------------------
 
+    /// An apply that never takes the recursive fast path: the head, then
+    /// the frame machine for everything below it. Test-only — it pins that
+    /// both engines build the same nodes in the same order.
+    #[cfg(test)]
+    fn apply_worklist(&mut self, op: Op, a: SddId, b: SddId) -> SddId {
+        match Engine::apply_head(self, op, a, b) {
+            Some(r) => r,
+            None => self.apply_spill(op, a, b),
+        }
+    }
+
     fn apply_spill(&mut self, op: Op, a: SddId, b: SddId) -> SddId {
         let mut eng = Engine::new(std::mem::take(&mut self.frame_pool), None);
         eng.push_apply_frame(self, op, a, b);
@@ -1112,6 +1163,16 @@ impl SddManager {
 
     /// Compile a circuit bottom-up.
     pub fn from_circuit(&mut self, c: &circuit::Circuit) -> SddId {
+        self.compile_gates(c, |m, op, a, b| m.apply_rec(op, a, b, REC_FUEL))
+    }
+
+    /// [`SddManager::from_circuit`] with every gate input folded in by
+    /// `apply` (the tests route it through the frame machine alone).
+    fn compile_gates(
+        &mut self,
+        c: &circuit::Circuit,
+        mut apply: impl FnMut(&mut Self, Op, SddId, SddId) -> SddId,
+    ) -> SddId {
         use circuit::GateKind;
         let mut val: Vec<SddId> = Vec::with_capacity(c.size());
         for (_, g) in c.iter() {
@@ -1132,7 +1193,7 @@ impl SddManager {
                     let mut acc = TRUE;
                     for x in xs.iter() {
                         let xv = val[x.index()];
-                        acc = self.and(acc, xv);
+                        acc = apply(self, Op::And, acc, xv);
                     }
                     acc
                 }
@@ -1140,7 +1201,7 @@ impl SddManager {
                     let mut acc = FALSE;
                     for x in xs.iter() {
                         let xv = val[x.index()];
-                        acc = self.or(acc, xv);
+                        acc = apply(self, Op::Or, acc, xv);
                     }
                     acc
                 }
@@ -1307,6 +1368,9 @@ enum CrossWait {
     Prime,
     /// The sub combination; the finished prime rides along.
     Sub(SddId),
+    /// The disjunction `pa_abs ∨ pb_abs` of the two absorbing-sub primes
+    /// that stands for every skipped pair.
+    Absorb,
     /// The final decision construction.
     Build,
 }
@@ -1349,6 +1413,16 @@ impl Elems {
             Elems::Inline { buf, .. } => buf[i],
         }
     }
+
+    /// The prime of the element whose sub is `sub`. Subs are pairwise
+    /// distinct in a compressed decision and in both normalizations, so
+    /// there is at most one.
+    fn prime_of_sub(&self, m: &SddManager, sub: SddId) -> Option<SddId> {
+        (0..self.len())
+            .map(|i| self.get(m, i))
+            .find(|&(_, s)| s == sub)
+            .map(|(p, _)| p)
+    }
 }
 
 /// One suspended operation of the worklist engine.
@@ -1368,7 +1442,12 @@ enum Frame {
         nb: Option<SddId>,
         wait: PrepWait,
     },
-    /// The element cross product of an apply.
+    /// The element cross product of an apply, pair by pair as in
+    /// [`SddManager::cross_rec`]. Pairs with an absorbing sub (⊥ under ∧,
+    /// ⊤ under ∨) are skipped: each operand's primes partition ⊤, so the
+    /// skipped pairs' primes join to exactly `pa_abs ∨ pb_abs`, which is
+    /// pushed as one trailing element (waiting in [`CrossWait::Absorb`]
+    /// when that `or` needs a frame).
     Cross {
         op: Op,
         key: u64,
@@ -1632,6 +1711,11 @@ impl Engine {
                             out.push((p, ret.take().expect("sub result")));
                             bump!();
                         }
+                        CrossWait::Absorb => {
+                            out.push((ret.take().expect("absorbing prime"), op.absorbing()));
+                            *wait = CrossWait::Build;
+                            return Step::Request(Req::Build(*vnode, std::mem::take(out)));
+                        }
                         CrossWait::Build => {
                             let r = ret.take().expect("build result");
                             m.apply_cache.insert(*key, r.0);
@@ -1642,9 +1726,20 @@ impl Engine {
                     // most prime conjunctions and sub combinations answer
                     // from the caches, and yielding to the frame stack for
                     // those costs more than computing them here.
+                    let abs = op.absorbing();
                     while (*i as usize) < ea.len() {
                         let (pa, sa) = ea.get(m, *i as usize);
+                        if sa == abs {
+                            // The whole row's subs are decided.
+                            *i += 1;
+                            *j = 0;
+                            continue;
+                        }
                         let (pb, sb) = eb.get(m, *j as usize);
+                        if sb == abs {
+                            bump!();
+                            continue;
+                        }
                         // ⊤-conjunctions are resolved structurally: primes
                         // are never ⊥ (construction drops them), so
                         // `pa ∧ ⊤ = pa` needs no apply call at all — and
@@ -1678,6 +1773,18 @@ impl Engine {
                                 }
                             },
                         }
+                    }
+                    // The one element standing for every skipped pair.
+                    match (ea.prime_of_sub(m, abs), eb.prime_of_sub(m, abs)) {
+                        (Some(pa), Some(pb)) => match Self::apply_head(m, Op::Or, pa, pb) {
+                            Some(p) => out.push((p, abs)),
+                            None => {
+                                *wait = CrossWait::Absorb;
+                                return Step::Request(Req::ApplyMiss(Op::Or, pa, pb));
+                            }
+                        },
+                        (Some(p), None) | (None, Some(p)) => out.push((p, abs)),
+                        (None, None) => {}
                     }
                     *wait = CrossWait::Build;
                     return Step::Request(Req::Build(*vnode, std::mem::take(out)));
@@ -1817,10 +1924,13 @@ impl Engine {
     /// apply-cache and complement lookups, and the same-variable literal
     /// clash. Shared verbatim by the recursive fast path and the worklist,
     /// so both consult and fill the caches in the same order and count
-    /// every apply invocation exactly once (callers that resolve a
-    /// combination *structurally* — the ⊤-prime shortcut — skip the head
-    /// and therefore the count). `None` means the operation genuinely
-    /// needs a frame ([`Engine::push_apply_frame`]).
+    /// every apply invocation exactly once. Structural resolutions skip
+    /// the head and the count: the ⊤-prime shortcut, and the pairs of a
+    /// cross product whose sub is the absorbing constant (they issue no
+    /// prime conjunction and no sub combination at all, only the one
+    /// trailing `pa_abs ∨ pb_abs`, which does go through the head).
+    /// `None` means the operation genuinely needs a frame
+    /// ([`Engine::push_apply_frame`]).
     #[inline]
     fn apply_head(m: &mut SddManager, op: Op, a: SddId, b: SddId) -> Option<SddId> {
         m.stats.apply_calls += 1;
@@ -1857,10 +1967,7 @@ impl Engine {
         // Complement shortcut (a plain array read — avoid computing fresh
         // negations here, which could traverse deeply for no benefit).
         if m.neg_cache[a.index()] == b.0 {
-            let r = match op {
-                Op::And => FALSE,
-                Op::Or => TRUE,
-            };
+            let r = op.absorbing();
             m.apply_cache.insert(key, r.0);
             return Some(r);
         }
@@ -1870,10 +1977,7 @@ impl Engine {
             (m.node(a), m.node(b))
         {
             if va == vb {
-                let r = match op {
-                    Op::And => FALSE,
-                    Op::Or => TRUE,
-                };
+                let r = op.absorbing();
                 m.apply_cache.insert(key, r.0);
                 return Some(r);
             }
@@ -2320,6 +2424,46 @@ mod tests {
         }
         for (f, r) in roots {
             assert_eq!(m.from_boolfn(&f), r, "canonicity across table growth");
+        }
+    }
+
+    /// Both engines build the same nodes in the same order: compiling a
+    /// circuit through the public `and`/`or` (recursive fast path, spilling
+    /// past its fuel) and with every apply forced through the frame machine
+    /// gives the same root, the same node and arena counts and the same
+    /// `ApplyStats`. Left-linear vtrees put most accumulators left of the
+    /// lca, where the absorbing-sub skip fires on every product; the
+    /// 120-variable clause chain is deep enough to spill the fast path.
+    #[test]
+    fn recursive_and_worklist_engines_build_identical_nodes() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+        let mut cases: Vec<(circuit::Circuit, Vtree)> = Vec::new();
+        for round in 0..24u32 {
+            let n = 4 + round % 9;
+            let c = circuit::families::random_circuit(n as usize, 3 * n as usize, &mut rng);
+            let vt = match round % 3 {
+                0 => Vtree::random(&vars(n), &mut rng).unwrap(),
+                1 => Vtree::left_linear(&vars(n)).unwrap(),
+                _ => Vtree::right_linear(&vars(n)).unwrap(),
+            };
+            cases.push((c, vt));
+        }
+        let deep = vars(120);
+        for vt in [Vtree::left_linear(&deep), Vtree::right_linear(&deep)] {
+            cases.push((circuit::families::clause_chain(&deep, 3), vt.unwrap()));
+        }
+        for (c, vt) in cases {
+            let mut rec = SddManager::new(vt.clone());
+            let r1 = rec.from_circuit(&c);
+            let mut wl = SddManager::new(vt);
+            let r2 = wl.compile_gates(&c, |m, op, a, b| m.apply_worklist(op, a, b));
+            assert_eq!(r1, r2, "same root id");
+            assert_eq!(rec.num_allocated(), wl.num_allocated());
+            assert_eq!(rec.num_elements(), wl.num_elements());
+            assert_eq!(rec.apply_stats(), wl.apply_stats());
+            rec.validate_structure(r1).unwrap();
+            assert_eq!(rec.count_models_exact(r1), wl.count_models_exact(r2));
         }
     }
 }

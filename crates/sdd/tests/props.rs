@@ -15,6 +15,18 @@ fn vars(n: u32) -> Vec<VarId> {
     (0..n).map(VarId).collect()
 }
 
+/// A vtree of one of three shapes: random, left-linear or right-linear.
+/// Left-linear vtrees put apply accumulators left of the lca, where the
+/// cross product's absorbing-sub skip fires on every product.
+fn shaped_vtree(shape: u32, n: u32, rng: &mut StdRng) -> Vtree {
+    match shape {
+        0 => Vtree::random(&vars(n), rng),
+        1 => Vtree::left_linear(&vars(n)),
+        _ => Vtree::right_linear(&vars(n)),
+    }
+    .unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -41,14 +53,15 @@ proptest! {
         }
     }
 
-    /// Model counts and structure agree with the truth-table kernel, and
-    /// `sdd_size` is reproducible in a fresh manager (the arena layout
+    /// Model counts and structure agree with the truth-table kernel on
+    /// random, left-linear and right-linear vtrees, and `sdd_size` is
+    /// reproducible in a fresh manager (the arena layout
     /// cannot change what is reachable).
     #[test]
-    fn counts_and_size_match_brute_force(n in 1u32..=9, seed: u64) {
+    fn counts_and_size_match_brute_force(n in 1u32..=9, shape in 0u32..3, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
         let f = BoolFn::random(VarSet::from_slice(&vars(n)), &mut rng);
-        let vt = Vtree::random(&vars(n), &mut rng).unwrap();
+        let vt = shaped_vtree(shape, n, &mut rng);
         let mut m = SddManager::new(vt.clone());
         let r = m.from_boolfn(&f);
         prop_assert_eq!(m.count_models(r), f.count_models() as u128);
@@ -60,16 +73,20 @@ proptest! {
         prop_assert_eq!(m.width(r), m2.width(r2));
     }
 
-    /// The apply route at the issue's full 16-variable bound: random
-    /// circuits compile through `from_circuit` and count exactly what the
-    /// brute-force kernel counts (structural validation stays on — the
+    /// The apply route at the full 16-variable bound: random circuits
+    /// compile through `from_circuit` on all three vtree shapes and count
+    /// exactly what the brute-force kernel counts (structural validation stays on — the
     /// semantic partition checks are what need the small-n test above).
     #[test]
-    fn circuit_route_counts_match_brute_force_at_16_vars(n in 10u32..=16, seed: u64) {
+    fn circuit_route_counts_match_brute_force_at_16_vars(
+        n in 10u32..=16,
+        shape in 0u32..3,
+        seed: u64,
+    ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let c = circuit::families::random_circuit(n as usize, 3 * n as usize, &mut rng);
         let f = c.to_boolfn().unwrap();
-        let vt = Vtree::random(&vars(n), &mut rng).unwrap();
+        let vt = shaped_vtree(shape, n, &mut rng);
         let mut m = SddManager::new(vt);
         let r = m.from_circuit(&c);
         // Count over the full vtree scope (the circuit may not mention
