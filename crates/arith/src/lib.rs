@@ -1,6 +1,6 @@
 //! Dependency-free exact arithmetic for model counting.
 //!
-//! The SDD evaluation engine (`sdd::SddManager::evaluate`) is generic over a
+//! The SDD evaluation engine (`sdd::FrozenSdd::evaluate`) is generic over a
 //! commutative [`Semiring`]; this crate supplies the trait and the three
 //! carriers the workspace instantiates it at:
 //!

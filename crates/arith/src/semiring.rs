@@ -3,7 +3,7 @@
 //! Counting, weighted counting, and probability are the *same* bottom-up
 //! traversal of a deterministic decomposable representation, differing only
 //! in the carrier: determinism makes ∨ a semiring `+`, decomposability makes
-//! ∧ a semiring `×`. `sdd::SddManager::evaluate` is written once against
+//! ∧ a semiring `×`. `sdd::FrozenSdd::evaluate` is written once against
 //! [`Semiring`] and instantiated at the carriers below.
 //!
 //! The zoo currently holds five members: the three counting carriers
@@ -120,7 +120,7 @@ pub struct LogF64;
 /// `ln(eᵃ + eᵇ)` without leaving log space: factor out the larger operand
 /// so the exponential never overflows and only the (≤ 1) ratio is rounded.
 ///
-/// The `exp`/`ln_1p` pair is hand-rolled ([`exp_neg`], [`ln_1p_unit`])
+/// The `exp`/`ln_1p` pair is hand-rolled (`exp_neg`, `ln_1p_unit`)
 /// rather than delegated to libm: this is the single hottest scalar
 /// operation in the serving layer (every ⊕ of every log-space sweep), and
 /// the restricted domains — `lo - hi ≤ 0`, `exp(lo - hi) ∈ [0, 1]` — admit
@@ -130,7 +130,7 @@ pub struct LogF64;
 /// elsewhere, far inside every numeric tolerance in the workspace.
 ///
 /// The scalar entry point is the `W = 1` instantiation of
-/// [`log_sum_exp_w`], the width-generic kernel the batched lane loops run
+/// `log_sum_exp_w`, the width-generic kernel the batched lane loops run
 /// at `W = 8` — one definition, so the bit-identity of batched and scalar
 /// sweeps is structural, not a matter of keeping two bodies in sync.
 #[inline]
@@ -345,7 +345,7 @@ impl Semiring for MaxPlus {
 /// sweep is bit-identical per lane to the scalar sweep it replaces. A
 /// carrier may override a method only with a body that computes the same
 /// per-lane values: [`LogF64`] routes `⊕` through the width-8 instantiation
-/// of the *same* [`log_sum_exp_w`] kernel the scalar path runs at width 1
+/// of the *same* `log_sum_exp_w` kernel the scalar path runs at width 1
 /// (dispatched to AVX2/AVX-512 code paths when the CPU has them), which
 /// turns the hottest loop of a batched sweep into packed instructions
 /// while preserving each lane's exact operation sequence.
@@ -415,7 +415,7 @@ impl LaneSemiring for MaxPlus {
 
 impl LaneSemiring for LogF64 {
     /// `acc[l] = lse(acc[l], rhs[l])` through the width-8 kernel — the
-    /// same [`log_sum_exp_w`] the scalar `add` instantiates at width 1,
+    /// same `log_sum_exp_w` the scalar `add` instantiates at width 1,
     /// so every lane's value is bit-identical to the default body.
     fn add_assign_lanes(&self, acc: &mut [f64], rhs: &[f64]) {
         lse_assign_lanes(acc, rhs);

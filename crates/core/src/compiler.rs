@@ -633,7 +633,7 @@ impl Compilation {
     /// Models of the compiled function over the vtree's variables.
     ///
     /// Panics when the count exceeds `u128` (see
-    /// [`sdd::SddManager::count_models`]); use
+    /// [`sdd::FrozenSdd::count_models`]); use
     /// [`Compilation::count_models_exact`] or
     /// [`Compilation::count_models_checked`] on inputs with more than 128
     /// variables.

@@ -29,8 +29,8 @@
 //! * [`mod@compiler`] — the unified [`Compiler`] session API: configurable
 //!   strategies ([`TwBackend`], [`VtreeStrategy`], [`Route`]), a unified
 //!   [`CompileError`], and timed [`CompileReport`]s;
-//! * [`pipeline`] — the end-to-end Result 1 compilation (deprecated
-//!   wrappers over [`Compiler`]);
+//! * `pipeline` (tests only) — Result 1 end to end through a
+//!   [`Compiler`] session;
 //! * [`bounds`] — every numeric bound in the paper, as checkable functions;
 //! * [`ctw`] — circuit-treewidth tooling (Result 2, constructive substitute);
 //! * [`isa`] — Appendix A: the `ISA_n` vtree and its polynomial SDD;

@@ -4,7 +4,7 @@
 //! canonical for width-bounded compilation: a DIMACS formula comes in, its
 //! **primal treewidth** drives the same Lemma-1 vtree extraction the
 //! circuit pipeline uses (via [`vtree_from_graph_with`] — the session's
-//! [`TwBackend`](crate::TwBackend) applies unchanged), the clause-tree
+//! [`TwBackend`] applies unchanged), the clause-tree
 //! circuit compiles bottom-up into a canonical SDD, and the semiring engine
 //! reads off the **exact** model count ([`arith::BigUint`] — no `u128`
 //! overflow) and, for weighted inputs, the exact weighted count
@@ -224,7 +224,7 @@ impl CnfCompilation {
 impl Compiler {
     /// Count a CNF formula exactly: primal graph → [`TwBackend`]
     /// decomposition → Lemma-1 vtree → bottom-up SDD → semiring counts,
-    /// validated per the session's [`Validation`](crate::Validation) level,
+    /// validated per the session's [`Validation`] level,
     /// everything timed.
     ///
     /// The count is over all `num_vars` declared variables (DIMACS

@@ -167,8 +167,9 @@ impl FrozenKb {
         &self.provenance
     }
 
-    /// Estimated resident bytes of the base: the shared slab (the frozen
-    /// analogue of [`sdd::SddManager::memory_bytes`]) plus the unfolded
+    /// Estimated resident bytes of the base: the shared SDD store's node
+    /// table and element arena ([`sdd::FrozenSdd::memory_bytes`]; the
+    /// compile-time tables were dropped at freeze) plus the unfolded
     /// circuit every query sweeps.
     pub fn memory_bytes(&self) -> usize {
         self.sdd.memory_bytes() + self.ac.memory_bytes()
@@ -514,7 +515,7 @@ impl KbSession {
     }
 
     /// Answer `queries.len()` conjunction queries in lane sweeps of at
-    /// most [`LANE_CHUNK`] lanes: lane `l` computes exactly
+    /// most `LANE_CHUNK` lanes: lane `l` computes exactly
     /// `self.query(&queries[l])`, **bit-identically** — the same columns,
     /// the same per-lane op sequence, the same denominator. Per-lane
     /// errors follow the scalar path: an unknown variable in lane `l`'s
@@ -610,7 +611,7 @@ impl KbSession {
     /// The most probable explanation under each evidence set — lane `l`
     /// answers exactly what the scalar loop `condition(&evidence[l]);
     /// mpe(); retract-to-here` would, **bit-identically in both the score
-    /// and the decoded witness** ([`Ac::mpe_lanes`] resolves `⊕`-gate ties
+    /// and the decoded witness** (`Ac::mpe_lanes` resolves `⊕`-gate ties
     /// by the same last-maximal-child rule at every width). The session's
     /// own pins and memo are untouched. Per lane: an unknown evidence
     /// variable is that lane's error; a `-∞` maximum (no model under the
@@ -791,7 +792,7 @@ impl KbSession {
     }
 
     /// `P(⋀ pins_l | F ∧ e)` per lane, in sweeps of at most
-    /// [`LANE_CHUNK`] lanes; a stale `ln W(F ∧ e)` rides along as one more
+    /// `LANE_CHUNK` lanes; a stale `ln W(F ∧ e)` rides along as one more
     /// lane. `Err(Inconsistent)` when `W(F ∧ e) = 0`.
     fn conditionals<P: AsRef<[(usize, bool)]>>(
         &mut self,
@@ -830,7 +831,7 @@ impl KbSession {
 
     /// Posterior marginal tables per lane (evidence plus the lane's pins),
     /// in vtree variable order, in up+down sweeps of at most
-    /// [`LANE_CHUNK`] lanes. A lane without a model of nonzero weight is
+    /// `LANE_CHUNK` lanes. A lane without a model of nonzero weight is
     /// `Inconsistent`.
     fn marginal_tables<P: AsRef<[(usize, bool)]>>(
         &mut self,
@@ -864,7 +865,7 @@ impl KbSession {
     }
 
     /// The verified MPE model per lane, in sweeps of at most
-    /// [`LANE_CHUNK`] lanes (see [`KbSession::mpe_batch`] for the checks).
+    /// `LANE_CHUNK` lanes (see [`KbSession::mpe_batch`] for the checks).
     fn mpe_models<P: AsRef<[(usize, bool)]>>(
         &mut self,
         lanes: &[P],

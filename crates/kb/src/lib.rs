@@ -253,7 +253,7 @@ pub enum QueryKind {
 }
 
 impl QueryKind {
-    /// Every kind, in [`QueryKind::index`] order.
+    /// Every kind, in `QueryKind::index` order.
     pub const ALL: [QueryKind; 16] = [
         QueryKind::Condition,
         QueryKind::Retract,

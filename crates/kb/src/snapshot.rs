@@ -1,9 +1,10 @@
 //! Snapshot persistence for the serving tier: [`FrozenKb::save`] /
 //! [`FrozenKb::load`].
 //!
-//! A KB snapshot is a `KIND_KB` container holding the frozen slab's four
-//! sections (tags 1–4, written by [`sdd::FrozenSdd::write_sections`])
-//! followed by nine KB sections:
+//! A KB snapshot is a `KIND_KB` container holding the SDD store's three
+//! sections (tags 1–3, written by [`sdd::FrozenSdd::write_sections`];
+//! files from earlier writers also carry the retired tag 4, which the
+//! loader skips) followed by nine KB sections:
 //!
 //! | tag | section  | payload |
 //! |-----|----------|---------|

@@ -14,7 +14,6 @@
 use arith::{BigUint, LogF64, Rational};
 use cnf::families;
 use kb::KnowledgeBase;
-use sdd::eval::SddEval;
 use sentential_core::Compiler;
 use std::sync::Arc;
 use vtree::VarId;

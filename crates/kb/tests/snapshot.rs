@@ -207,3 +207,43 @@ fn loaded_kb_reconditions_against_brute_force() {
     let again = Arc::new(FrozenKb::load(save(&loaded).as_slice()).unwrap());
     assert_bit_identical(&loaded, &again);
 }
+
+/// Containers from earlier writers carry a fourth SDD section, the
+/// manager's negation memo (tag 4, right after the arena). A base saved
+/// that way still loads and answers bit-identically to a current round
+/// trip; saving it again writes the current layout.
+#[test]
+fn legacy_negation_section_is_skipped_on_load() {
+    use sdd::snapshot::{TAG_ARENA, TAG_NODES, TAG_VTREE};
+    let kb = frozen_instance(8, 10, 42);
+    let bytes = save(&kb);
+    let current = Arc::new(FrozenKb::load(bytes.as_slice()).unwrap());
+
+    // The legacy layout: vtree, nodes, arena, then tag 4 with one id per
+    // node (u32::MAX = no negation known), then the nine KB sections
+    // (tags 16–24).
+    let mut r = snap::Reader::new(&mut bytes.as_slice(), snap::KIND_KB).unwrap();
+    let mut w = snap::Writer::new(Vec::new(), snap::KIND_KB, 13).unwrap();
+    let mut num_nodes = 0;
+    for tag in [TAG_VTREE, TAG_NODES, TAG_ARENA] {
+        let payload = r.take(tag).unwrap();
+        if tag == TAG_NODES {
+            num_nodes = payload.len() / 16;
+        }
+        w.section(tag, &payload).unwrap();
+    }
+    let mut neg = Vec::new();
+    for _ in 0..num_nodes {
+        snap::put_u32(&mut neg, u32::MAX);
+    }
+    w.section(4, &neg).unwrap();
+    for tag in 16..=24 {
+        w.section(tag, &r.take(tag).unwrap()).unwrap();
+    }
+    let legacy = w.finish().unwrap();
+    assert_eq!(legacy.len(), bytes.len() + 20 + 4 * num_nodes);
+
+    let loaded = Arc::new(FrozenKb::load(legacy.as_slice()).unwrap());
+    assert_bit_identical(&current, &loaded);
+    assert_eq!(save(&loaded), bytes);
+}

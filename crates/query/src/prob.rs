@@ -98,7 +98,7 @@ pub fn probability_via_sdd(q: &Ucq, db: &Database) -> f64 {
 
 /// The exact route: the same balanced-vtree SDD as
 /// [`probability_via_sdd`], evaluated in the `Rational` semiring
-/// (`sdd::SddManager::probability_exact`). Every `f64` tuple probability is
+/// (`sdd::FrozenSdd::probability_exact`). Every `f64` tuple probability is
 /// a dyadic rational, so `Rational::from_f64` embeds the database exactly
 /// and the result is the *true* probability of the specified database —
 /// no rounding anywhere on the route.

@@ -8,17 +8,17 @@
 //! smoothing**: a variable of the enclosing vtree scope that a node does not
 //! mention contributes the factor `w(¬v) ⊕ w(v)`.
 //!
-//! [`SddManager::evaluate`] implements that engine once, division-free
+//! [`FrozenSdd::evaluate`] implements that engine once, division-free
 //! (smoothing factors come from walking the vtree, never from dividing them
 //! back out, so it works in any semiring). The former `count_models` /
 //! `weighted_count` / `probability` triplet of near-duplicate traversals are
 //! now instantiations:
 //!
-//! * [`SddManager::count_models_exact`] — `arith::Nat` (`BigUint`): exact
+//! * [`FrozenSdd::count_models_exact`] — `arith::Nat` (`BigUint`): exact
 //!   #SAT, no overflow at any size;
-//! * [`SddManager::weighted_count_exact`] / [`SddManager::probability_exact`]
+//! * [`FrozenSdd::weighted_count_exact`] / [`FrozenSdd::probability_exact`]
 //!   — `arith::Rat` (`Rational`): exact WMC, no rounding;
-//! * [`SddManager::weighted_count`] / [`SddManager::probability`] —
+//! * [`FrozenSdd::weighted_count`] / [`FrozenSdd::probability`] —
 //!   `arith::F64`: the fast approximate path.
 //!
 //! [`EvalCache`] is the incremental form of the same engine — per-node
@@ -30,17 +30,12 @@
 //! unfolded arithmetic circuit instead. It remains for the repo
 //! benchmark's traced dirty-cone measurement.
 
-use crate::{FrozenSdd, SddId, SddManager, SddNode, SddRead};
+use crate::{FrozenSdd, SddId, SddNode};
 use arith::{BigUint, Nat, Rat, Rational, Semiring, F64};
 use vtree::fxhash::FxHashMap;
 use vtree::{VarId, VtreeNodeId};
 
-/// Semiring evaluation over any read-only SDD store: the blanket
-/// extension of [`SddRead`], implemented once and served by both the
-/// mutable [`SddManager`] and the immutable [`FrozenSdd`] slab (which
-/// also re-export the methods inherently, so callers rarely need this
-/// trait in scope).
-pub trait SddEval: SddRead {
+impl FrozenSdd {
     /// Evaluate `root` over all vtree variables in an arbitrary commutative
     /// semiring. `weight(v, polarity)` is the weight of the literal `v` /
     /// `¬v`; variables absent from a subfunction contribute
@@ -50,7 +45,7 @@ pub trait SddEval: SddRead {
     /// counting plugs in the literal weights. The traversal is memoized per
     /// node, so it is linear in the SDD size (times the cost of semiring
     /// operations and vtree-path walks).
-    fn evaluate<S: Semiring>(
+    pub fn evaluate<S: Semiring>(
         &self,
         root: SddId,
         semiring: &S,
@@ -92,26 +87,36 @@ pub trait SddEval: SddRead {
 
     /// Exact model count over all vtree variables — the `BigUint` semiring,
     /// valid at any variable count.
-    fn count_models_exact(&self, root: SddId) -> BigUint {
+    pub fn count_models_exact(&self, root: SddId) -> BigUint {
         self.evaluate(root, &Nat, |_, _| BigUint::one())
     }
 
     /// Exact model count as `u128`, `None` when the count needs more than
     /// 128 bits.
-    fn count_models_checked(&self, root: SddId) -> Option<u128> {
+    pub fn count_models_checked(&self, root: SddId) -> Option<u128> {
         self.count_models_exact(root).to_u128()
     }
 
-    /// Exact model count over all vtree variables; panics past 128 bits
-    /// (see [`SddManager::count_models`]).
-    fn count_models(&self, root: SddId) -> u128 {
+    /// Exact model count over all vtree variables.
+    ///
+    /// Panics — in every build profile — when the true count exceeds 128
+    /// bits. The pre-semiring implementation silently wrapped there, and
+    /// the first semiring version saturated at `u128::MAX` behind a
+    /// debug-only assertion, so release builds could hand a saturated
+    /// count to reports; no counting path may do that. Prefer
+    /// [`FrozenSdd::count_models_exact`] (never overflows) or
+    /// [`FrozenSdd::count_models_checked`] (typed overflow) on inputs
+    /// with more than 128 variables.
+    pub fn count_models(&self, root: SddId) -> u128 {
         self.count_models_checked(root)
             .expect("model count exceeds u128; use count_models_exact/count_models_checked")
     }
 
-    /// Weighted model count (`f64` path; see
-    /// [`SddManager::weighted_count`]).
-    fn weighted_count(&self, root: SddId, weight: impl Fn(VarId) -> (f64, f64)) -> f64 {
+    /// Weighted model count over all vtree variables: `weight(v) = (w⁻, w⁺)`.
+    /// Variables skipped between a node and its vtree scope contribute the
+    /// smoothing factor `w⁻ + w⁺`. The fast `f64` path of the semiring
+    /// engine; see [`FrozenSdd::weighted_count_exact`] for the exact one.
+    pub fn weighted_count(&self, root: SddId, weight: impl Fn(VarId) -> (f64, f64)) -> f64 {
         self.evaluate(root, &F64, |v, positive| {
             let (wn, wp) = weight(v);
             if positive {
@@ -123,7 +128,7 @@ pub trait SddEval: SddRead {
     }
 
     /// Exact weighted model count — the `Rational` semiring.
-    fn weighted_count_exact(
+    pub fn weighted_count_exact(
         &self,
         root: SddId,
         weight: impl Fn(VarId) -> (Rational, Rational),
@@ -139,7 +144,7 @@ pub trait SddEval: SddRead {
     }
 
     /// Probability under independent `P(v=1) = prob(v)`.
-    fn probability(&self, root: SddId, prob: impl Fn(VarId) -> f64) -> f64 {
+    pub fn probability(&self, root: SddId, prob: impl Fn(VarId) -> f64) -> f64 {
         self.weighted_count(root, |v| {
             let p = prob(v);
             (1.0 - p, p)
@@ -147,7 +152,7 @@ pub trait SddEval: SddRead {
     }
 
     /// Exact probability under independent `P(v=1) = prob(v)`.
-    fn probability_exact(&self, root: SddId, prob: impl Fn(VarId) -> Rational) -> Rational {
+    pub fn probability_exact(&self, root: SddId, prob: impl Fn(VarId) -> Rational) -> Rational {
         self.weighted_count_exact(root, |v| {
             let p = prob(v);
             (Rational::one().sub(&p), p)
@@ -155,120 +160,17 @@ pub trait SddEval: SddRead {
     }
 }
 
-impl<T: SddRead> SddEval for T {}
-
-impl SddManager {
-    /// Evaluate `root` in an arbitrary commutative semiring (see
-    /// [`SddEval::evaluate`] — this inherent form keeps existing callers
-    /// working without the trait in scope).
-    pub fn evaluate<S: Semiring>(
-        &self,
-        root: SddId,
-        semiring: &S,
-        weight: impl Fn(VarId, bool) -> S::Elem,
-    ) -> S::Elem {
-        SddEval::evaluate(self, root, semiring, weight)
-    }
-
-    /// Exact model count over all vtree variables — the `BigUint` semiring,
-    /// valid at any variable count.
-    pub fn count_models_exact(&self, root: SddId) -> BigUint {
-        SddEval::count_models_exact(self, root)
-    }
-
-    /// Exact model count as `u128`, `None` when the count needs more than
-    /// 128 bits.
-    pub fn count_models_checked(&self, root: SddId) -> Option<u128> {
-        SddEval::count_models_checked(self, root)
-    }
-
-    /// Exact model count over all vtree variables.
-    ///
-    /// Panics — in every build profile — when the true count exceeds 128
-    /// bits. The pre-semiring implementation silently wrapped there, and
-    /// the first semiring version saturated at `u128::MAX` behind a
-    /// debug-only assertion, so release builds could hand a saturated
-    /// count to reports; no counting path may do that. Prefer
-    /// [`SddManager::count_models_exact`] (never overflows) or
-    /// [`SddManager::count_models_checked`] (typed overflow) on inputs
-    /// with more than 128 variables.
-    pub fn count_models(&self, root: SddId) -> u128 {
-        SddEval::count_models(self, root)
-    }
-
-    /// Weighted model count over all vtree variables: `weight(v) = (w⁻, w⁺)`.
-    /// Variables skipped between a node and its vtree scope contribute the
-    /// smoothing factor `w⁻ + w⁺`. The fast `f64` path of the semiring
-    /// engine; see [`SddManager::weighted_count_exact`] for the exact one.
-    pub fn weighted_count(&self, root: SddId, weight: impl Fn(VarId) -> (f64, f64)) -> f64 {
-        SddEval::weighted_count(self, root, weight)
-    }
-
-    /// Exact weighted model count — the `Rational` semiring.
-    pub fn weighted_count_exact(
-        &self,
-        root: SddId,
-        weight: impl Fn(VarId) -> (Rational, Rational),
-    ) -> Rational {
-        SddEval::weighted_count_exact(self, root, weight)
-    }
-
-    /// Probability under independent `P(v=1) = prob(v)`.
-    pub fn probability(&self, root: SddId, prob: impl Fn(VarId) -> f64) -> f64 {
-        SddEval::probability(self, root, prob)
-    }
-
-    /// Exact probability under independent `P(v=1) = prob(v)`.
-    pub fn probability_exact(&self, root: SddId, prob: impl Fn(VarId) -> Rational) -> Rational {
-        SddEval::probability_exact(self, root, prob)
-    }
-}
-
-impl FrozenSdd {
-    /// Evaluate `root` in an arbitrary commutative semiring (see
-    /// [`SddEval::evaluate`]).
-    pub fn evaluate<S: Semiring>(
-        &self,
-        root: SddId,
-        semiring: &S,
-        weight: impl Fn(VarId, bool) -> S::Elem,
-    ) -> S::Elem {
-        SddEval::evaluate(self, root, semiring, weight)
-    }
-
-    /// Exact model count — the `BigUint` semiring.
-    pub fn count_models_exact(&self, root: SddId) -> BigUint {
-        SddEval::count_models_exact(self, root)
-    }
-
-    /// Exact model count as `u128`, `None` past 128 bits.
-    pub fn count_models_checked(&self, root: SddId) -> Option<u128> {
-        SddEval::count_models_checked(self, root)
-    }
-
-    /// Weighted model count (`f64` path).
-    pub fn weighted_count(&self, root: SddId, weight: impl Fn(VarId) -> (f64, f64)) -> f64 {
-        SddEval::weighted_count(self, root, weight)
-    }
-
-    /// Probability under independent `P(v=1) = prob(v)`.
-    pub fn probability(&self, root: SddId, prob: impl Fn(VarId) -> f64) -> f64 {
-        SddEval::probability(self, root, prob)
-    }
-}
-
 /// One evaluation pass: semiring, literal weights, per-vtree-node smoothing
-/// products, and the per-node raw-value table. Generic over the store
-/// ([`SddRead`]) so the identical pass serves managers and frozen slabs.
-struct Evaluator<'a, M: SddRead + ?Sized, S: Semiring> {
-    mgr: &'a M,
+/// products, and the per-node raw-value table.
+struct Evaluator<'a, S: Semiring> {
+    mgr: &'a FrozenSdd,
     semiring: &'a S,
     wmap: FxHashMap<VarId, (S::Elem, S::Elem)>,
     gap: Vec<S::Elem>,
     raw: FxHashMap<SddId, S::Elem>,
 }
 
-impl<M: SddRead + ?Sized, S: Semiring> Evaluator<'_, M, S> {
+impl<S: Semiring> Evaluator<'_, S> {
     /// One bottom-up sweep over the reachable decisions in interning order
     /// (children are always interned before their parents, so ascending
     /// [`SddId`] is a topological order), then the root read-off. Each
@@ -375,7 +277,7 @@ struct RawFrame<E> {
 
 impl<E> RawFrame<E> {
     /// The current element `(prime, sub)` pair.
-    fn cur(&self, mgr: &(impl SddRead + ?Sized)) -> (SddId, SddId) {
+    fn cur(&self, mgr: &FrozenSdd) -> (SddId, SddId) {
         mgr.elements(self.elems.clone())[self.i as usize]
     }
 
@@ -410,7 +312,7 @@ impl EvalCacheStats {
 }
 
 /// An **epoch-tagged incremental evaluator**: the semiring engine of
-/// [`SddManager::evaluate`], restructured so repeated evaluations under
+/// [`FrozenSdd::evaluate`], restructured so repeated evaluations under
 /// changing literal weights only redo the work the changes invalidated.
 ///
 /// Every weight update bumps a global epoch and stamps it onto the vtree
@@ -421,11 +323,12 @@ impl EvalCacheStats {
 /// variables below that node. Changing one variable therefore dirties one
 /// root-to-leaf cone; everything outside it is answered from cache.
 ///
-/// The cache is bound to the manager it was created with (values are keyed
-/// by that manager's node and vtree ids); handing any other manager —
-/// same-shaped vtree or not — panics ([`SddManager::uid`]).
+/// The cache is bound to the store it was created with (values are keyed
+/// by that store's node and vtree ids); handing any other store —
+/// same-shaped vtree or not — panics ([`FrozenSdd::uid`]). A manager and
+/// the store frozen from it share one uid, so a cache outlives a freeze.
 pub struct EvalCache<S: Semiring> {
-    /// The [`SddManager::uid`] this cache is bound to.
+    /// The [`FrozenSdd::uid`] this cache is bound to.
     mgr_uid: u64,
     semiring: S,
     /// Bumped on every weight change.
@@ -445,14 +348,10 @@ pub struct EvalCache<S: Semiring> {
 
 impl<S: Semiring> EvalCache<S> {
     /// A fresh cache over `mgr`'s vtree with initial literal weights
-    /// `weight(v, polarity)`. The store may be a [`SddManager`] or a
-    /// [`FrozenSdd`] (a serving thread creates its private cache directly
-    /// against the shared slab).
-    pub fn new(
-        mgr: &(impl SddRead + ?Sized),
-        semiring: S,
-        weight: impl Fn(VarId, bool) -> S::Elem,
-    ) -> Self {
+    /// `weight(v, polarity)`. A manager passes its store by `Deref`; a
+    /// serving thread creates its private cache directly against a shared
+    /// frozen store.
+    pub fn new(mgr: &FrozenSdd, semiring: S, weight: impl Fn(VarId, bool) -> S::Elem) -> Self {
         let mut weights = FxHashMap::default();
         for &v in mgr.vtree().vars() {
             weights.insert(v, (weight(v, false), weight(v, true)));
@@ -496,13 +395,7 @@ impl<S: Semiring> EvalCache<S> {
     /// Update `v`'s weight pair, dirtying exactly the vtree cone above its
     /// leaf: the next [`EvalCache::evaluate`] recomputes only values scoped
     /// to an ancestor of `v`.
-    pub fn set_weight(
-        &mut self,
-        mgr: &(impl SddRead + ?Sized),
-        v: VarId,
-        neg: S::Elem,
-        pos: S::Elem,
-    ) {
+    pub fn set_weight(&mut self, mgr: &FrozenSdd, v: VarId, neg: S::Elem, pos: S::Elem) {
         self.check_binding(mgr);
         let leaf = mgr.vtree().leaf_of_var(v).expect("weight var in the vtree");
         self.epoch += 1;
@@ -520,7 +413,7 @@ impl<S: Semiring> EvalCache<S> {
     /// frame stack (the former recursion descended to vtree depth — Θ(n)
     /// on chains — which is exactly where serving sessions get deep), so
     /// any diagram evaluates on a default-size stack.
-    pub fn evaluate(&mut self, mgr: &(impl SddRead + ?Sized), root: SddId) -> S::Elem {
+    pub fn evaluate(&mut self, mgr: &FrozenSdd, root: SddId) -> S::Elem {
         self.check_binding(mgr);
         self.refresh_gaps(mgr);
         let mut frames: Vec<RawFrame<S::Elem>> = Vec::new();
@@ -552,7 +445,7 @@ impl<S: Semiring> EvalCache<S> {
     /// scoped value its requester asked for).
     fn advance(
         &mut self,
-        mgr: &(impl SddRead + ?Sized),
+        mgr: &FrozenSdd,
         f: &mut RawFrame<S::Elem>,
         ret: Option<S::Elem>,
     ) -> EvalStep<S::Elem> {
@@ -581,10 +474,10 @@ impl<S: Semiring> EvalCache<S> {
         }
     }
 
-    /// Cached values are keyed by `SddId`s, which are per-manager indices:
-    /// serving them for another manager — even one over an identical vtree
+    /// Cached values are keyed by `SddId`s, which are per-store indices:
+    /// serving them for another store — even one over an identical vtree
     /// — would silently return another formula's numbers.
-    fn check_binding(&self, mgr: &(impl SddRead + ?Sized)) {
+    fn check_binding(&self, mgr: &FrozenSdd) {
         assert_eq!(
             self.mgr_uid,
             mgr.uid(),
@@ -594,7 +487,7 @@ impl<S: Semiring> EvalCache<S> {
 
     /// Recompute the smoothing gaps whose subtree saw a weight change
     /// (linear sweep over the vtree — the SDD is the expensive side).
-    fn refresh_gaps(&mut self, mgr: &(impl SddRead + ?Sized)) {
+    fn refresh_gaps(&mut self, mgr: &FrozenSdd) {
         for i in 0..self.vtree_postorder.len() {
             let n = self.vtree_postorder[i];
             let need = self.vnode_epoch[n.index()];
@@ -628,7 +521,7 @@ impl<S: Semiring> EvalCache<S> {
     /// frame completes).
     fn scoped(
         &mut self,
-        mgr: &(impl SddRead + ?Sized),
+        mgr: &FrozenSdd,
         a: SddId,
         scope: VtreeNodeId,
         frames: &mut Vec<RawFrame<S::Elem>>,
@@ -676,12 +569,7 @@ impl<S: Semiring> EvalCache<S> {
     /// `⊗ (w⁻ ⊕ w⁺)` over the variables below `scope` but not below
     /// `target` — the division-free smoothing walk of the one-shot engine,
     /// reading the stamped gap table.
-    fn smoothing(
-        &self,
-        mgr: &(impl SddRead + ?Sized),
-        scope: VtreeNodeId,
-        target: VtreeNodeId,
-    ) -> S::Elem {
+    fn smoothing(&self, mgr: &FrozenSdd, scope: VtreeNodeId, target: VtreeNodeId) -> S::Elem {
         let mut acc = self.semiring.one();
         mgr.vtree().gap_subtrees(scope, target, |t| {
             acc = self.semiring.mul(&acc, self.gap_of(t));
@@ -693,7 +581,7 @@ impl<S: Semiring> EvalCache<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FALSE, TRUE};
+    use crate::{SddManager, FALSE, TRUE};
     use boolfunc::{BoolFn, VarSet};
     use vtree::Vtree;
 

@@ -1,38 +1,42 @@
-//! The immutable freeze-and-serve slab.
+//! The SDD store: the compiled object, and the one home of every
+//! read-only SDD query.
 //!
-//! A compiled SDD is worth amortizing across many queries (and many
-//! threads), but [`SddManager`] is mutable — its caches and arena move
-//! under apply traffic, so a manager can serve exactly one thread.
-//! [`SddManager::freeze`] ends the mutable phase for good: the node table,
-//! element arena and negation array become plain owned slabs in a
-//! [`FrozenSdd`], which is `Send + Sync` and shared via `Arc`. Freezing is
-//! **zero-copy** (the vectors move into boxed slices; node ids, arena
-//! offsets and the manager [`uid`](FrozenSdd::uid) are all unchanged, so
-//! `SddId`s, and anything keyed by them, stay valid). The interning tables
-//! (unique table, literal cache) and the apply memos are dropped: a slab
-//! is only ever read, never extended.
+//! A [`FrozenSdd`] is the vtree, the node table and the element arena (the
+//! sentential decisions of paper §2.1 and their elements), plus a uid
+//! naming its id space. An [`SddManager`] grows one while it compiles and
+//! reads it through `Deref`; [`SddManager::freeze`] ends the mutable phase
+//! for good by dropping the compile-time tables (unique table, literal
+//! cache, apply/lca memos, negation memo, pools) and returning the store
+//! with its vectors shrunk to fit. Node ids, arena offsets and the
+//! [`uid`](FrozenSdd::uid) are unchanged, so `SddId`s, and anything keyed
+//! by them, stay valid. The store is `Send + Sync` and shared via `Arc`; a
+//! frozen store is only ever read, never extended.
 
-use crate::{SddId, SddManager, SddNode, SddRead};
+use crate::{SddId, SddManager, SddNode};
+use boolfunc::{Assignment, BoolFn, VarSet};
 use std::ops::Range;
 use std::sync::Arc;
-use vtree::Vtree;
+use vtree::fxhash::{FxHashMap, FxHashSet};
+use vtree::{Vtree, VtreeNodeId};
 
-/// An immutable SDD slab: every node and element of a finished manager.
-/// `Send + Sync`; share it with `Arc` and read it from any number of
-/// threads through [`SddRead`] (one-shot evaluation, model checks, the
-/// snapshot writer).
+/// The SDD store: every node and element a manager interned, over one
+/// vtree. `Send + Sync`; share a frozen one with `Arc` and read it from any
+/// number of threads (one-shot evaluation, model checks, the snapshot
+/// writer).
 pub struct FrozenSdd {
     pub(crate) vtree: Arc<Vtree>,
-    pub(crate) nodes: Box<[SddNode]>,
-    pub(crate) arena: Box<[(SddId, SddId)]>,
-    /// Negation array (node-indexed, `EMPTY_SLOT` = unknown) — carried
-    /// because the snapshot format persists it.
-    pub(crate) neg: Box<[u32]>,
+    /// The node table, indexed by [`SddId`].
+    pub(crate) nodes: Vec<SddNode>,
+    /// The element arena: every decision's `(prime, sub)` pairs,
+    /// contiguous, append-only. Ranges handed to [`SddNode::Decision`] are
+    /// immutable once interned.
+    pub(crate) arena: Vec<(SddId, SddId)>,
+    /// Process-unique identity (see [`FrozenSdd::uid`]).
     pub(crate) uid: u64,
 }
 
 /// Compile-time `Send + Sync` evidence (hand-rolled static assertion —
-/// this function only type-checks if the slab is shareable).
+/// this function only type-checks if the store is shareable).
 #[allow(dead_code)]
 fn frozen_sdd_is_send_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
@@ -41,109 +45,180 @@ fn frozen_sdd_is_send_sync() {
 }
 
 impl SddManager {
-    /// End the mutable phase: turn this manager into an immutable
-    /// [`FrozenSdd`] slab. Zero-copy — the vectors move into boxed slices,
-    /// and node ids, arena offsets and [`SddManager::uid`] are unchanged
-    /// (anything keyed by this manager's node ids keeps working against
-    /// the slab).
+    /// End the mutable phase: drop the interning tables and memos and
+    /// return the store, its vectors shrunk to fit. Node ids, arena
+    /// offsets and the uid are unchanged (anything keyed by this manager's
+    /// node ids keeps working against the frozen store).
     pub fn freeze(self) -> FrozenSdd {
-        FrozenSdd {
-            vtree: self.vtree,
-            nodes: self.nodes.into_boxed_slice(),
-            arena: self.arena.into_boxed_slice(),
-            neg: self.neg_cache.into_boxed_slice(),
-            uid: self.uid,
-        }
+        let mut store = self.store;
+        store.nodes.shrink_to_fit();
+        store.arena.shrink_to_fit();
+        store
     }
 }
 
 impl FrozenSdd {
-    /// The slab's vtree.
+    /// The store's vtree.
     pub fn vtree(&self) -> &Vtree {
         &self.vtree
     }
 
-    /// The uid of the manager this slab was frozen from (see
-    /// [`SddRead::uid`]).
+    /// Process-unique identity of this id space, stable across moves: node
+    /// ids are per-store indices, so caches keyed by them (e.g.
+    /// [`EvalCache`](crate::eval::EvalCache)) store the uid and refuse any
+    /// other store. A frozen store keeps the uid of the manager it was
+    /// frozen from; a store loaded from a snapshot draws a fresh one.
     pub fn uid(&self) -> u64 {
         self.uid
     }
 
     /// Node payload.
+    #[inline]
     pub fn node(&self, id: SddId) -> &SddNode {
         &self.nodes[id.index()]
     }
 
-    /// Resolve a decision's arena range to its element slice.
+    /// Resolve a decision's arena range (as stored in
+    /// [`SddNode::Decision`]) to its element slice.
+    #[inline]
     pub fn elements(&self, r: Range<u32>) -> &[(SddId, SddId)] {
         &self.arena[r.start as usize..r.end as usize]
     }
 
-    /// The element slice of a decision node.
+    /// The element slice of a decision node (borrowed from the arena — no
+    /// cloning; panics on terminals and literals).
     pub fn elements_of(&self, a: SddId) -> &[(SddId, SddId)] {
-        SddRead::elements_of(self, a)
+        match self.node(a) {
+            SddNode::Decision { elems, .. } => self.elements(elems.clone()),
+            _ => panic!("elements_of on non-decision"),
+        }
     }
 
-    /// Total nodes in the slab (terminals included).
+    /// One arena element.
+    #[inline]
+    pub(crate) fn element(&self, i: u32) -> (SddId, SddId) {
+        self.arena[i as usize]
+    }
+
+    /// Total nodes (terminals included).
     pub fn num_allocated(&self) -> usize {
         self.nodes.len()
     }
 
-    /// Total elements in the slab's arena.
+    /// Total elements in the arena — every decision's elements exactly
+    /// once, live or not.
     pub fn num_elements(&self) -> usize {
         self.arena.len()
     }
 
+    /// The vtree node a node respects: leaf for literals, its `vnode` for
+    /// decisions, `None` for ⊥/⊤ (which respect every node).
+    pub fn respects(&self, id: SddId) -> Option<VtreeNodeId> {
+        match self.node(id) {
+            SddNode::False | SddNode::True => None,
+            SddNode::Literal { var, .. } => {
+                Some(self.vtree.leaf_of_var(*var).expect("literal var in vtree"))
+            }
+            SddNode::Decision { vnode, .. } => Some(*vnode),
+        }
+    }
+
     /// Decision nodes reachable from `root`.
     pub fn reachable_decisions(&self, root: SddId) -> Vec<SddId> {
-        SddRead::reachable_decisions(self, root)
+        let mut seen: FxHashSet<SddId> = FxHashSet::default();
+        let mut stack = vec![root];
+        let mut out = Vec::new();
+        while let Some(n) = stack.pop() {
+            if !seen.insert(n) {
+                continue;
+            }
+            if let SddNode::Decision { elems, .. } = self.node(n) {
+                out.push(n);
+                for &(p, s) in self.elements(elems.clone()) {
+                    stack.push(p);
+                    stack.push(s);
+                }
+            }
+        }
+        out
     }
 
-    /// SDD size (total elements over reachable decisions).
+    /// SDD size: total number of elements (∧-gates) over reachable
+    /// decisions.
     pub fn size(&self, root: SddId) -> usize {
-        SddRead::size(self, root)
+        self.reachable_decisions(root)
+            .iter()
+            .map(|n| match self.node(*n) {
+                SddNode::Decision { elems, .. } => elems.len(),
+                _ => 0,
+            })
+            .sum()
     }
 
-    /// Evaluate under an assignment covering the vtree variables.
-    pub fn eval(&self, a: SddId, asg: &boolfunc::Assignment) -> bool {
-        SddRead::eval(self, a, asg)
+    /// ∧-gates per vtree node: the counts behind the paper's Definition 5.
+    pub fn vnode_profile(&self, root: SddId) -> FxHashMap<VtreeNodeId, usize> {
+        let mut profile: FxHashMap<VtreeNodeId, usize> = FxHashMap::default();
+        for n in self.reachable_decisions(root) {
+            if let SddNode::Decision { vnode, elems } = self.node(n) {
+                *profile.entry(*vnode).or_insert(0) += elems.len();
+            }
+        }
+        profile
     }
 
-    /// Resident bytes of the slab: node table, element arena, negation
-    /// array — the same accounting as [`SddManager::memory_bytes`] minus
-    /// the mutable-phase interning tables and caches, so a freeze reports
-    /// *less* than the manager it came from.
+    /// The paper's **SDD width** (Definition 5): the maximum number of
+    /// ∧-gates structured by a single vtree node.
+    pub fn width(&self, root: SddId) -> usize {
+        self.vnode_profile(root)
+            .values()
+            .copied()
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Evaluate under an assignment covering the vtree variables: one
+    /// bottom-up sweep over the reachable decisions in interning order
+    /// (children are always interned before their parents, so ascending
+    /// [`SddId`] is a topological order) — linear in the DAG size,
+    /// constant stack depth.
+    pub fn eval(&self, a: SddId, asg: &Assignment) -> bool {
+        let mut decisions = self.reachable_decisions(a);
+        decisions.sort_unstable();
+        let mut val: FxHashMap<SddId, bool> = FxHashMap::default();
+        let value_of = |n: SddId, val: &FxHashMap<SddId, bool>| match self.node(n) {
+            SddNode::False => false,
+            SddNode::True => true,
+            SddNode::Literal { var, positive } => {
+                asg.get(*var).expect("assignment covers vtree vars") == *positive
+            }
+            SddNode::Decision { .. } => val[&n],
+        };
+        for d in decisions {
+            let b = self
+                .elements_of(d)
+                .iter()
+                .any(|&(p, s)| value_of(p, &val) && value_of(s, &val));
+            val.insert(d, b);
+        }
+        value_of(a, &val)
+    }
+
+    /// Read back the function over the full vtree variable set.
+    pub fn to_boolfn(&self, a: SddId) -> BoolFn {
+        let vars = VarSet::from_slice(self.vtree.vars());
+        BoolFn::from_fn(vars.clone(), |idx| {
+            self.eval(a, &Assignment::from_index(&vars, idx))
+        })
+    }
+
+    /// Resident bytes of the store's node table and element arena
+    /// allocations. A manager's [`SddManager::memory_bytes`] adds its
+    /// compile-time tables to this, so a freeze reports *less* than the
+    /// manager it came from.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.nodes.len() * size_of::<SddNode>()
-            + self.arena.len() * size_of::<(SddId, SddId)>()
-            + self.neg.len() * size_of::<u32>()
-    }
-}
-
-impl SddRead for FrozenSdd {
-    fn vtree(&self) -> &Vtree {
-        &self.vtree
-    }
-
-    fn uid(&self) -> u64 {
-        self.uid
-    }
-
-    fn node(&self, id: SddId) -> &SddNode {
-        &self.nodes[id.index()]
-    }
-
-    fn elements(&self, r: Range<u32>) -> &[(SddId, SddId)] {
-        &self.arena[r.start as usize..r.end as usize]
-    }
-
-    fn num_allocated(&self) -> usize {
-        self.nodes.len()
-    }
-
-    fn num_elements(&self) -> usize {
-        self.arena.len()
+        self.nodes.capacity() * size_of::<SddNode>()
+            + self.arena.capacity() * size_of::<(SddId, SddId)>()
     }
 }
 

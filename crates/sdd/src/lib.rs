@@ -8,24 +8,30 @@
 //! subs) and **trimming**, SDDs are canonical: equivalent functions get the
 //! *same node*, which this manager maintains through a unique table.
 //!
-//! The manager implements:
+//! The compiled object is one [`FrozenSdd`] store: the vtree, the node
+//! table and the element arena. Every read-only query lives there once —
+//! node access, reachability, [`FrozenSdd::size`], the paper's **SDD
+//! width** ([`FrozenSdd::width`], Definition 5: max ∧-gates structured by
+//! a single vtree node), assignment checks, validation, and a generic
+//! semiring evaluation engine ([`FrozenSdd::evaluate`], module [`eval`])
+//! with vtree-gap smoothing, instantiated at `BigUint` (exact #SAT,
+//! [`FrozenSdd::count_models_exact`]), `Rational` (exact WMC,
+//! [`FrozenSdd::weighted_count_exact`]) and `f64`
+//! ([`FrozenSdd::weighted_count`], [`FrozenSdd::probability`]).
+//!
+//! An [`SddManager`] owns the store it grows plus the compile-time
+//! machinery, and reaches every read through `Deref<Target = FrozenSdd>`.
+//! It implements:
 //! * apply-style operations ([`SddManager::and`],
 //!   [`SddManager::or`], [`SddManager::negate`]) with memoization, via
 //!   lca-normalization and element cross products;
 //! * compilation from circuits and truth tables;
-//! * conditioning (cofactors), used by the Theorem 5 experiments;
-//! * a generic semiring evaluation engine ([`SddManager::evaluate`], module
-//!   [`eval`]) with vtree-gap smoothing, instantiated at `BigUint` (exact
-//!   #SAT, [`SddManager::count_models_exact`]), `Rational` (exact WMC,
-//!   [`SddManager::weighted_count_exact`]) and `f64`
-//!   ([`SddManager::weighted_count`], [`SddManager::probability`]);
-//! * **SDD size** (total elements) and the paper's **SDD width**
-//!   (Definition 5: max ∧-gates structured by a single vtree node).
+//! * conditioning (cofactors), used by the Theorem 5 experiments.
 //!
 //! **Kernel storage.** Every decision node's `(prime, sub)` pairs live in a
-//! single contiguous **element arena** owned by the manager;
+//! single contiguous **element arena** in the store;
 //! [`SddNode::Decision`] holds only its vtree node and a `Range<u32>` into
-//! that arena, and [`SddManager::elements_of`] returns a borrowed slice —
+//! that arena, and [`FrozenSdd::elements_of`] returns a borrowed slice —
 //! element data is stored exactly once and never cloned on the apply path.
 //! The arena is **append-only and ranges are immutable once interned**: a
 //! node's range never moves or changes, so engines may hold ranges across
@@ -47,9 +53,9 @@
 //! **Depth contract:** no engine in this crate recurses on *input-sized*
 //! structure. Apply, negation, conditioning and decision construction run
 //! a **bounded-recursion hybrid**: a recursive fast path with a constant
-//! fuel budget ([`REC_FUEL`] levels — a fixed ~20 KiB of machine stack)
+//! fuel budget (`REC_FUEL` levels — a fixed ~20 KiB of machine stack)
 //! handles the overwhelmingly common shallow operations at direct-call
-//! speed, and anything deeper spills to the explicit worklist ([`Engine`],
+//! speed, and anything deeper spills to the explicit worklist (`Engine`,
 //! heap-allocated frames), which finishes with constant stack depth. Both
 //! paths consult and fill the same memo tables in the same order, so they
 //! construct identical nodes. Evaluation sweeps reachable decisions
@@ -57,14 +63,13 @@
 //! chain families — therefore work on a default-size thread stack at any
 //! variable count.
 //!
-//! **Freeze-and-serve.** [`SddManager::freeze`] turns a finished manager
-//! into an immutable [`FrozenSdd`] — the node table, element arena and
-//! negation array as plain slabs, `Send + Sync`, shared across threads via
-//! `Arc` (module [`frozen`]). Everything read-only is abstracted by the
-//! [`SddRead`] trait, so evaluation runs unchanged over managers and
-//! frozen slabs. Freezing ends the structural phase for good: a slab is
-//! never reopened for apply, and serving sessions (`kb::KbSession`) answer
-//! from the arithmetic circuit unfolded from it, not from the slab.
+//! **Freeze-and-serve.** [`SddManager::freeze`] drops the compile-time
+//! tables and returns the store, its vectors shrunk to fit: node ids,
+//! arena offsets and the uid are unchanged. The store is `Send + Sync`
+//! and shared across threads via `Arc` (module [`frozen`]). Freezing ends
+//! the structural phase for good: a frozen store is never reopened for
+//! apply, and serving sessions (`kb::KbSession`) answer from the
+//! arithmetic circuit unfolded from it, not from the store.
 
 pub mod eval;
 pub mod frozen;
@@ -74,10 +79,10 @@ pub mod validate;
 pub use frozen::FrozenSdd;
 pub use validate::SddError;
 
-use boolfunc::{Assignment, BoolFn, VarSet};
-use std::ops::Range;
+use boolfunc::BoolFn;
+use std::ops::{Deref, Range};
 use std::sync::Arc;
-use vtree::fxhash::{FxHashMap, FxHashSet};
+use vtree::fxhash::FxHashMap;
 use vtree::{Side, VarId, Vtree, VtreeNodeId};
 
 /// Index of an SDD node. `FALSE = 0`, `TRUE = 1`.
@@ -105,9 +110,9 @@ impl SddId {
 /// Node payload.
 ///
 /// Decisions do not own their elements: they hold a range into the
-/// manager's element arena (see the module doc's *Kernel storage*), which
+/// store's element arena (see the module doc's *Kernel storage*), which
 /// is immutable once the node is interned. Resolve it with
-/// [`SddManager::elements_of`] / [`SddManager::elements`].
+/// [`FrozenSdd::elements_of`] / [`FrozenSdd::elements`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SddNode {
     /// ⊥.
@@ -398,15 +403,14 @@ impl IntCache {
     }
 }
 
-/// An SDD manager over a fixed vtree.
+/// An SDD manager over a fixed vtree: the [`FrozenSdd`] store it grows
+/// (vtree, node table, element arena, uid) plus the interning tables and
+/// memos that only compilation reads. Every read-only method is the
+/// store's, reached through `Deref`.
 pub struct SddManager {
-    vtree: Arc<Vtree>,
-    /// The node table, indexed by [`SddId`].
-    nodes: Vec<SddNode>,
-    /// The element arena: every decision's `(prime, sub)` pairs,
-    /// contiguous, append-only. Ranges handed to [`SddNode::Decision`] are
-    /// immutable once interned.
-    arena: Vec<(SddId, SddId)>,
+    /// The store this manager appends to; [`SddManager::freeze`] hands it
+    /// out.
+    store: FrozenSdd,
     lit_cache: FxHashMap<(VarId, bool), SddId>,
     unique: UniqueTable,
     /// Apply memo keyed by [`pack_apply_key`].
@@ -426,147 +430,14 @@ pub struct SddManager {
     /// time; public operations are not reentrant).
     frame_pool: Vec<Frame>,
     stats: ApplyStats,
-    /// Process-unique identity (see [`SddManager::uid`]): node ids are
-    /// per-manager indices, so anything caching values under `SddId`s
-    /// (e.g. `eval::EvalCache`) must be able to tell managers apart.
-    uid: u64,
 }
 
-/// Read-only access to an SDD store — implemented by the mutable
-/// [`SddManager`] and by the immutable [`FrozenSdd`] slab, so read-side
-/// traversals (semiring evaluation, reachability, assignment checks) are
-/// written once and run over either. The provided methods are the
-/// canonical traversal bodies; implementors only supply the six
-/// accessors.
-pub trait SddRead {
-    /// The store's vtree.
-    fn vtree(&self) -> &Vtree;
+impl Deref for SddManager {
+    type Target = FrozenSdd;
 
-    /// Process-unique identity of the store's id space (see
-    /// [`SddManager::uid`]). A frozen slab keeps the uid of the manager it
-    /// was frozen from — ids are unchanged, so caches keyed by them stay
-    /// valid; a slab loaded from a snapshot draws a fresh one.
-    fn uid(&self) -> u64;
-
-    /// Node payload.
-    fn node(&self, id: SddId) -> &SddNode;
-
-    /// Resolve a decision's arena range (as stored in
-    /// [`SddNode::Decision`]) to its element slice.
-    fn elements(&self, r: Range<u32>) -> &[(SddId, SddId)];
-
-    /// Total allocated nodes (terminals included).
-    fn num_allocated(&self) -> usize;
-
-    /// Total elements in the arena.
-    fn num_elements(&self) -> usize;
-
-    /// The element slice of a decision node (borrowed from the arena — no
-    /// cloning; panics on terminals and literals).
-    fn elements_of(&self, a: SddId) -> &[(SddId, SddId)] {
-        match self.node(a) {
-            SddNode::Decision { elems, .. } => self.elements(elems.clone()),
-            _ => panic!("elements_of on non-decision"),
-        }
-    }
-
-    /// The vtree node a node respects: leaf for literals, its `vnode` for
-    /// decisions, `None` for ⊥/⊤ (which respect every node).
-    fn respects(&self, id: SddId) -> Option<VtreeNodeId> {
-        match self.node(id) {
-            SddNode::False | SddNode::True => None,
-            SddNode::Literal { var, .. } => Some(
-                self.vtree()
-                    .leaf_of_var(*var)
-                    .expect("literal var in vtree"),
-            ),
-            SddNode::Decision { vnode, .. } => Some(*vnode),
-        }
-    }
-
-    /// Decision nodes reachable from `root`.
-    fn reachable_decisions(&self, root: SddId) -> Vec<SddId> {
-        let mut seen: FxHashSet<SddId> = FxHashSet::default();
-        let mut stack = vec![root];
-        let mut out = Vec::new();
-        while let Some(n) = stack.pop() {
-            if !seen.insert(n) {
-                continue;
-            }
-            if let SddNode::Decision { elems, .. } = self.node(n) {
-                out.push(n);
-                for &(p, s) in self.elements(elems.clone()) {
-                    stack.push(p);
-                    stack.push(s);
-                }
-            }
-        }
-        out
-    }
-
-    /// SDD size: total number of elements (∧-gates) over reachable
-    /// decisions.
-    fn size(&self, root: SddId) -> usize {
-        self.reachable_decisions(root)
-            .iter()
-            .map(|n| match self.node(*n) {
-                SddNode::Decision { elems, .. } => elems.len(),
-                _ => 0,
-            })
-            .sum()
-    }
-
-    /// Evaluate under an assignment covering the vtree variables: one
-    /// bottom-up sweep over the reachable decisions in interning order
-    /// (children are always interned before their parents, so ascending
-    /// [`SddId`] is a topological order) — linear in the DAG size,
-    /// constant stack depth.
-    fn eval(&self, a: SddId, asg: &Assignment) -> bool {
-        let mut decisions = self.reachable_decisions(a);
-        decisions.sort_unstable();
-        let mut val: FxHashMap<SddId, bool> = FxHashMap::default();
-        let value_of = |n: SddId, val: &FxHashMap<SddId, bool>| match self.node(n) {
-            SddNode::False => false,
-            SddNode::True => true,
-            SddNode::Literal { var, positive } => {
-                asg.get(*var).expect("assignment covers vtree vars") == *positive
-            }
-            SddNode::Decision { .. } => val[&n],
-        };
-        for d in decisions {
-            let b = self
-                .elements_of(d)
-                .iter()
-                .any(|&(p, s)| value_of(p, &val) && value_of(s, &val));
-            val.insert(d, b);
-        }
-        value_of(a, &val)
-    }
-}
-
-impl SddRead for SddManager {
-    fn vtree(&self) -> &Vtree {
-        SddManager::vtree(self)
-    }
-
-    fn uid(&self) -> u64 {
-        SddManager::uid(self)
-    }
-
-    fn node(&self, id: SddId) -> &SddNode {
-        SddManager::node(self, id)
-    }
-
-    fn elements(&self, r: Range<u32>) -> &[(SddId, SddId)] {
-        SddManager::elements(self, r)
-    }
-
-    fn num_allocated(&self) -> usize {
-        SddManager::num_allocated(self)
-    }
-
-    fn num_elements(&self) -> usize {
-        SddManager::num_elements(self)
+    #[inline]
+    fn deref(&self) -> &FrozenSdd {
+        &self.store
     }
 }
 
@@ -615,9 +486,12 @@ impl SddManager {
     /// Fresh manager over `vtree`.
     pub fn new(vtree: Vtree) -> Self {
         SddManager {
-            vtree: Arc::new(vtree),
-            nodes: vec![SddNode::False, SddNode::True],
-            arena: Vec::new(),
+            store: FrozenSdd {
+                vtree: Arc::new(vtree),
+                nodes: vec![SddNode::False, SddNode::True],
+                arena: Vec::new(),
+                uid: next_uid(),
+            },
             lit_cache: FxHashMap::default(),
             unique: UniqueTable::new(),
             apply_cache: IntCache::new(),
@@ -626,15 +500,7 @@ impl SddManager {
             scratch: Vec::new(),
             frame_pool: Vec::new(),
             stats: ApplyStats::default(),
-            uid: next_uid(),
         }
-    }
-
-    /// A process-unique identity for this manager, stable across moves.
-    /// External caches keyed by this manager's [`SddId`]s store it and
-    /// refuse to serve a different manager.
-    pub fn uid(&self) -> u64 {
-        self.uid
     }
 
     /// Lifetime apply counters (see [`ApplyStats`]).
@@ -648,37 +514,15 @@ impl SddManager {
         self.stats.reset();
     }
 
-    /// The manager's vtree.
-    pub fn vtree(&self) -> &Vtree {
-        &self.vtree
-    }
-
-    /// Node payload.
-    pub fn node(&self, id: SddId) -> &SddNode {
-        &self.nodes[id.index()]
-    }
-
-    /// Total allocated nodes (terminals included).
-    pub fn num_allocated(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Total elements in the arena — every decision's elements exactly
-    /// once, live or not.
-    pub fn num_elements(&self) -> usize {
-        self.arena.len()
-    }
-
-    /// Estimated resident bytes of the manager's node storage and caches:
-    /// node table, element arena, negation array, the open-addressed
-    /// unique/apply/lca tables, and the literal cache (estimated from its
-    /// capacity — the standard hash table stores entries plus one control
-    /// byte per slot). Scratch-pool and vtree memory are excluded; the SDD
-    /// is the part that grows.
+    /// Estimated resident bytes of the manager: its store
+    /// ([`FrozenSdd::memory_bytes`]) plus the negation array, the
+    /// open-addressed unique/apply/lca tables, and the literal cache
+    /// (estimated from its capacity — the standard hash table stores
+    /// entries plus one control byte per slot). Scratch-pool and vtree
+    /// memory are excluded; the SDD is the part that grows.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.nodes.capacity() * size_of::<SddNode>()
-            + self.arena.capacity() * size_of::<(SddId, SddId)>()
+        self.store.memory_bytes()
             + self.neg_cache.capacity() * size_of::<u32>()
             + self.unique.slots.len() * size_of::<(u64, u32)>()
             + self.apply_cache.memory_bytes()
@@ -689,18 +533,12 @@ impl SddManager {
                 .saturating_mul(size_of::<((VarId, bool), SddId)>() + 1)
     }
 
-    /// The vtree node a node respects: leaf for literals, its `vnode` for
-    /// decisions, `None` for ⊥/⊤ (which respect every node).
-    pub fn respects(&self, id: SddId) -> Option<VtreeNodeId> {
-        SddRead::respects(self, id)
-    }
-
     /// Append a node, enforcing the 31-bit id cap the packed apply key
     /// (and the caches' slot encoding) relies on.
     fn push_node(&mut self, n: SddNode) -> SddId {
         let id = self.nodes.len();
         assert!(id < (1 << 31), "SDD node ids are packed into 31 bits");
-        self.nodes.push(n);
+        self.store.nodes.push(n);
         self.neg_cache.push(EMPTY_SLOT);
         SddId(id as u32)
     }
@@ -717,27 +555,6 @@ impl SddManager {
         let id = self.push_node(SddNode::Literal { var: v, positive });
         self.lit_cache.insert((v, positive), id);
         id
-    }
-
-    /// The element slice of a decision node (borrowed from the arena — no
-    /// cloning; panics on terminals and literals).
-    pub fn elements_of(&self, a: SddId) -> &[(SddId, SddId)] {
-        match self.node(a) {
-            SddNode::Decision { elems, .. } => self.elements(elems.clone()),
-            _ => panic!("elements_of on non-decision"),
-        }
-    }
-
-    /// Resolve a decision's arena range (as stored in
-    /// [`SddNode::Decision`]) to its element slice.
-    pub fn elements(&self, r: Range<u32>) -> &[(SddId, SddId)] {
-        &self.arena[r.start as usize..r.end as usize]
-    }
-
-    /// One arena element.
-    #[inline]
-    fn element(&self, i: u32) -> (SddId, SddId) {
-        self.arena[i as usize]
     }
 
     /// Memoized `(lca, side of va, side of vb)` for a vnode pair: the
@@ -831,7 +648,7 @@ impl SddManager {
             start + compressed.len() <= u32::MAX as usize,
             "element arena exceeds u32 indexing"
         );
-        self.arena.extend_from_slice(compressed);
+        self.store.arena.extend_from_slice(compressed);
         let end = self.arena.len();
         let id = self.push_node(SddNode::Decision {
             vnode,
@@ -865,7 +682,7 @@ impl SddManager {
     ///
     /// The caller must supply primes forming an exhaustive, pairwise-disjoint
     /// partition of the left-subtree space (the constructor *canonicalizes*
-    /// but does not verify this; use [`SddManager::validate`] in tests). This
+    /// but does not verify this; use [`FrozenSdd::validate`] in tests). This
     /// is the entry point for the paper's direct `S_{F,T}` construction
     /// (§3.2.2), which builds sentential decisions from factor sets rather
     /// than through `apply`.
@@ -1264,54 +1081,6 @@ impl SddManager {
             memo: FxHashMap::default(),
         };
         self.condition_rec(&mut ctx, a, REC_FUEL)
-    }
-
-    /// Evaluate under an assignment covering the vtree variables: one
-    /// bottom-up sweep over the reachable decisions in interning order
-    /// (children are always interned before their parents, so ascending
-    /// [`SddId`] is a topological order) — linear in the DAG size, constant
-    /// stack depth.
-    pub fn eval(&self, a: SddId, asg: &Assignment) -> bool {
-        SddRead::eval(self, a, asg)
-    }
-
-    /// Read back the function over the full vtree variable set.
-    pub fn to_boolfn(&self, a: SddId) -> BoolFn {
-        let vars = VarSet::from_slice(self.vtree.vars());
-        BoolFn::from_fn(vars.clone(), |idx| {
-            self.eval(a, &Assignment::from_index(&vars, idx))
-        })
-    }
-
-    /// Decision nodes reachable from `root`.
-    pub fn reachable_decisions(&self, root: SddId) -> Vec<SddId> {
-        SddRead::reachable_decisions(self, root)
-    }
-
-    /// SDD size: total number of elements (∧-gates) over reachable decisions.
-    pub fn size(&self, root: SddId) -> usize {
-        SddRead::size(self, root)
-    }
-
-    /// ∧-gates per vtree node: the counts behind the paper's Definition 5.
-    pub fn vnode_profile(&self, root: SddId) -> FxHashMap<VtreeNodeId, usize> {
-        let mut profile: FxHashMap<VtreeNodeId, usize> = FxHashMap::default();
-        for n in self.reachable_decisions(root) {
-            if let SddNode::Decision { vnode, elems } = self.node(n) {
-                *profile.entry(*vnode).or_insert(0) += elems.len();
-            }
-        }
-        profile
-    }
-
-    /// The paper's **SDD width** (Definition 5): the maximum number of
-    /// ∧-gates structured by a single vtree node.
-    pub fn width(&self, root: SddId) -> usize {
-        self.vnode_profile(root)
-            .values()
-            .copied()
-            .max()
-            .unwrap_or(0)
     }
 }
 
@@ -2195,7 +1964,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use boolfunc::families;
+    use boolfunc::{families, VarSet};
 
     fn v(i: u32) -> VarId {
         VarId(i)

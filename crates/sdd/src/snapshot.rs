@@ -1,7 +1,7 @@
-//! Snapshot persistence for the frozen slab: [`FrozenSdd::write_to`] /
+//! Snapshot persistence for the SDD store: [`FrozenSdd::write_to`] /
 //! [`FrozenSdd::read_from`].
 //!
-//! The slab is already the serialization-friendly form — plain contiguous
+//! The store is already the serialization-friendly form — plain contiguous
 //! arrays indexed by global ids — so a snapshot is little more than those
 //! arrays framed by the `snap` container format:
 //!
@@ -10,11 +10,15 @@
 //! | 1   | vtree   | `count, root`, then `(kind, a, b)` per node (leaf: `a` = var; internal: `a, b` = children) |
 //! | 2   | nodes   | `(tag, x, y, z)` per node — `0`⊥ `1`⊤ `2`literal(`var, positive`) `3`decision(`vnode, start, end`) |
 //! | 3   | arena   | raw `(prime, sub)` id pairs |
-//! | 4   | neg     | raw node-indexed negation ids (`EMPTY_SLOT` = unknown) |
+//!
+//! Tag 4 is retired: earlier writers added the manager's negation memo
+//! there. Nothing reads it, and the loader skips it like any section it
+//! does not take, so those files still load; no new section may reuse the
+//! tag.
 //!
 //! Loading is **allocation-lean**: each section is read once into its
 //! final contiguous buffer, bulk-converted with word-level sweeps, and
-//! then validated in a single linear pass. A frozen slab carries no
+//! then validated in a single linear pass. A frozen store carries no
 //! interning tables (it is never extended), so nothing derived is rebuilt;
 //! the manager [`uid`](FrozenSdd::uid) is drawn fresh because uids are
 //! process-unique, never durable.
@@ -22,11 +26,11 @@
 //! Validation accepts exactly the arrays a real freeze produces: ids and
 //! ranges in bounds, terminals only at ids 0/1, each literal at most once,
 //! decision elements strictly below their decision (interning order is
-//! topological) with primes strictly ascending (canonical element order),
-//! the negation array an involution. Everything else is a typed
-//! [`SnapError`] — never a panic, never an out-of-bounds index.
+//! topological) with primes strictly ascending (canonical element order).
+//! Everything else is a typed [`SnapError`] — never a panic, never an
+//! out-of-bounds index.
 
-use crate::{next_uid, FrozenSdd, SddId, SddNode, EMPTY_SLOT};
+use crate::{next_uid, FrozenSdd, SddId, SddNode};
 use snap::{bytes_to_u32s, put_u32, Dec, Reader, SnapError, Writer, KIND_SDD};
 use std::io::{BufRead, Write};
 use std::sync::Arc;
@@ -39,12 +43,10 @@ pub const TAG_VTREE: u32 = 1;
 pub const TAG_NODES: u32 = 2;
 /// Section tag: the element arena.
 pub const TAG_ARENA: u32 = 3;
-/// Section tag: the negation array.
-pub const TAG_NEG: u32 = 4;
 
-/// Sections a frozen slab contributes to a container (the KB container
-/// embeds these plus its own).
-pub const SDD_SECTIONS: u32 = 4;
+/// Sections a store contributes to a container (the KB container embeds
+/// these plus its own).
+pub const SDD_SECTIONS: u32 = 3;
 
 /// Node-record tags inside [`TAG_NODES`].
 const NODE_FALSE: u32 = 0;
@@ -140,15 +142,7 @@ impl FrozenSdd {
             put_u32(&mut buf, p.0);
             put_u32(&mut buf, s.0);
         }
-        w.section(TAG_ARENA, &buf)?;
-
-        // Negation array: raw ids.
-        let mut buf = Vec::with_capacity(self.neg.len() * 4);
-        for &n in self.neg.iter() {
-            put_u32(&mut buf, n);
-        }
-        w.section(TAG_NEG, &buf)?;
-        Ok(())
+        w.section(TAG_ARENA, &buf)
     }
 
     /// Rebuild a slab from an already-framed container's sections,
@@ -269,34 +263,10 @@ impl FrozenSdd {
             nodes.push(node);
         }
 
-        // Negation array: node-indexed, in bounds, an involution.
-        let neg = bytes_to_u32s(&r.take(TAG_NEG)?, "negation section ragged")?;
-        if neg.len() != num_nodes {
-            return Err(SnapError::Invalid {
-                what: "negation array length disagrees with the node table",
-            });
-        }
-        for (id, &n) in neg.iter().enumerate() {
-            if n == EMPTY_SLOT {
-                continue;
-            }
-            if n as usize >= num_nodes {
-                return Err(SnapError::Invalid {
-                    what: "negation id out of bounds",
-                });
-            }
-            if neg[n as usize] != id as u32 {
-                return Err(SnapError::Invalid {
-                    what: "negation array is not an involution",
-                });
-            }
-        }
-
         Ok(FrozenSdd {
             vtree: Arc::new(vtree),
-            nodes: nodes.into_boxed_slice(),
-            arena: arena.into_boxed_slice(),
-            neg: neg.into_boxed_slice(),
+            nodes,
+            arena,
             // Uids are process-unique, never durable: a loaded slab is a
             // new id space as far as external caches are concerned.
             uid: next_uid(),
@@ -336,7 +306,6 @@ mod tests {
             let back = roundtrip(&slab);
             assert_eq!(back.nodes, slab.nodes);
             assert_eq!(back.arena, slab.arena);
-            assert_eq!(back.neg, slab.neg);
             assert_eq!(back.vtree.to_string(), slab.vtree.to_string());
             assert_ne!(back.uid(), slab.uid(), "uids are never durable");
             let vs = VarSet::from_slice(&vars(7));
@@ -360,7 +329,7 @@ mod tests {
     /// with checksums recomputed — the white-box corruption harness.
     fn rewrite_section(bytes: &[u8], tag: u32, tweak: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
         let mut r = Reader::new(&mut &bytes[..], KIND_SDD).unwrap();
-        let mut sections: Vec<(u32, Vec<u8>)> = [TAG_VTREE, TAG_NODES, TAG_ARENA, TAG_NEG]
+        let mut sections: Vec<(u32, Vec<u8>)> = [TAG_VTREE, TAG_NODES, TAG_ARENA]
             .into_iter()
             .map(|t| (t, r.take(t).unwrap()))
             .collect();
@@ -371,6 +340,48 @@ mod tests {
             w.section(*t, p).unwrap();
         }
         w.finish().unwrap()
+    }
+
+    /// Containers from earlier writers carry the manager's negation memo
+    /// as a fourth section (tag 4, after the arena). They still load, to
+    /// the same store a current round trip gives.
+    #[test]
+    fn legacy_negation_section_is_skipped_on_load() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(60);
+        let f = BoolFn::random(VarSet::from_slice(&vars(7)), &mut rng);
+        let mut m = SddManager::new(Vtree::balanced(&vars(7)).unwrap());
+        let root = m.from_boolfn(&f);
+        let _ = m.negate(root);
+        let neg = m.neg_cache.clone();
+        assert!(neg.iter().any(|&n| n != crate::EMPTY_SLOT));
+        let slab = m.freeze();
+        let mut bytes = Vec::new();
+        slab.write_to(&mut bytes).unwrap();
+
+        let mut r = Reader::new(&mut bytes.as_slice(), KIND_SDD).unwrap();
+        let mut w = Writer::new(Vec::new(), KIND_SDD, SDD_SECTIONS + 1).unwrap();
+        for tag in [TAG_VTREE, TAG_NODES, TAG_ARENA] {
+            w.section(tag, &r.take(tag).unwrap()).unwrap();
+        }
+        let mut payload = Vec::new();
+        for n in neg {
+            put_u32(&mut payload, n);
+        }
+        w.section(4, &payload).unwrap();
+        let legacy = w.finish().unwrap();
+
+        let back = FrozenSdd::read_from(legacy.as_slice()).unwrap();
+        let current = roundtrip(&slab);
+        assert_eq!(back.nodes, current.nodes);
+        assert_eq!(back.arena, current.arena);
+        assert_eq!(back.vtree.to_string(), current.vtree.to_string());
+        assert_eq!(back.count_models_exact(root), slab.count_models_exact(root));
+        let vs = VarSet::from_slice(&vars(7));
+        for idx in 0..(1u64 << 7) {
+            let asg = boolfunc::Assignment::from_index(&vs, idx);
+            assert_eq!(back.eval(root, &asg), f.eval(&asg));
+        }
     }
 
     #[test]
@@ -412,12 +423,6 @@ mod tests {
             FrozenSdd::read_from(bad.as_slice()),
             Err(SnapError::Invalid { .. })
         ));
-
-        // Negation involution broken.
-        let bad = rewrite_section(&bytes, TAG_NEG, |p| {
-            p[8..12].copy_from_slice(&0u32.to_le_bytes());
-        });
-        assert!(FrozenSdd::read_from(bad.as_slice()).is_err());
 
         // Vtree root out of bounds.
         let bad = rewrite_section(&bytes, TAG_VTREE, |p| {

@@ -1,6 +1,6 @@
 //! Structural validation of SDD invariants (test and experiment support).
 
-use crate::{SddId, SddManager, SddNode};
+use crate::{FrozenSdd, SddId, SddNode};
 use std::fmt;
 use vtree::fxhash::FxHashSet;
 
@@ -36,21 +36,21 @@ impl fmt::Display for SddError {
 
 impl std::error::Error for SddError {}
 
-impl SddManager {
+impl FrozenSdd {
     /// Check every reachable decision node against the SDD conditions.
     ///
     /// Structural checks (placement, compression) are exact everywhere.
     /// The partition checks (disjoint + exhaustive) are *semantic* and
-    /// enumerate the prime space, so they are skipped when the manager's
+    /// enumerate the prime space, so they are skipped when the store's
     /// vtree exceeds the truth-table kernel cap ([`boolfunc::MAX_VARS`]) —
     /// validation degrades gracefully instead of panicking on large vtrees.
     /// For a check that is cheap at any size, use
-    /// [`SddManager::validate_structure`].
+    /// [`FrozenSdd::validate_structure`].
     pub fn validate(&self, root: SddId) -> Result<(), SddError> {
         self.check(root, true)
     }
 
-    /// The structural subset of [`SddManager::validate`] — placement,
+    /// The structural subset of [`FrozenSdd::validate`] — placement,
     /// compression, and ⊥-prime checks only. Linear in the SDD, no
     /// truth-table enumeration, safe at any size.
     pub fn validate_structure(&self, root: SddId) -> Result<(), SddError> {
@@ -89,7 +89,7 @@ impl SddManager {
                 return Err(SddError::NotCompressed(n));
             }
             // Partition (semantic): enumerate assignments of the left vars.
-            // `to_boolfn` expands primes over the manager's full variable
+            // `to_boolfn` expands primes over the store's full variable
             // set, so the kernel cap applies to the whole vtree here.
             if !semantic || self.vtree().num_vars() > boolfunc::MAX_VARS {
                 continue;
@@ -132,7 +132,7 @@ impl SddManager {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::SddManager;
     use boolfunc::{BoolFn, VarSet};
     use vtree::{VarId, Vtree};
 

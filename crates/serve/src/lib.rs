@@ -821,7 +821,7 @@ impl KbServer {
     /// Shut down: tell every worker to exit once the queued work ahead is
     /// answered, join them, and return the final per-shard counters.
     /// Forked [`ClientHandle`]s may still be alive (their submits will
-    /// fail with "shard gone"); the explicit [`Job::Shutdown`] marker is
+    /// fail with "shard gone"); the explicit `Job::Shutdown` marker is
     /// what lets the workers exit while those handles hold senders.
     pub fn shutdown(mut self) -> Vec<ShardStats> {
         for tx in &self.client.txs {

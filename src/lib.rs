@@ -5,9 +5,10 @@
 //! a truth-table kernel with the paper's *factor* combinatorics, circuits
 //! with structuredness/determinism analysis, treewidth machinery, OBDD and
 //! SDD packages built from scratch, the paper's `C_{F,T}`/`S_{F,T}`
-//! canonical compilers behind a configurable [`Compiler`] session API, and
-//! a probabilistic-database layer whose [`QueryCompiler`] facade takes a
-//! UCQ(≠) and a database to a probability in one call.
+//! canonical compilers behind a configurable
+//! [`Compiler`](sentential_core::Compiler) session API, and a
+//! probabilistic-database layer whose [`QueryCompiler`](query::QueryCompiler)
+//! facade takes a UCQ(≠) and a database to a probability in one call.
 //!
 //! ## Crate map
 //!
@@ -21,9 +22,9 @@
 //! | [`circuit`] | circuits, NNF, Tseitin, primal graphs, structure checks, families |
 //! | [`obdd`] | reduced OBDDs: apply, counting, width, order search |
 //! | [`sdd`] | SDDs: apply, canonicity, counting, the paper's SDD width, apply-stats report hooks |
-//! | [`sentential_core`] | the paper: Lemma 1 vtrees, `C_{F,T}` (Thm 3), `S_{F,T}` (Thm 4), bounds, ctw tooling, Appendix A — behind the [`Compiler`] session API (strategy enums [`TwBackend`](sentential_core::TwBackend) / [`VtreeStrategy`](sentential_core::VtreeStrategy) / [`Route`](sentential_core::Route) / [`GraphKind`](sentential_core::GraphKind), unified [`CompileError`](sentential_core::CompileError), timed [`CompileReport`](sentential_core::CompileReport)) |
+//! | [`sentential_core`] | the paper: Lemma 1 vtrees, `C_{F,T}` (Thm 3), `S_{F,T}` (Thm 4), bounds, ctw tooling, Appendix A — behind the [`Compiler`](sentential_core::Compiler) session API (strategy enums [`TwBackend`](sentential_core::TwBackend) / [`VtreeStrategy`](sentential_core::VtreeStrategy) / [`Route`](sentential_core::Route) / [`GraphKind`](sentential_core::GraphKind), unified [`CompileError`](sentential_core::CompileError), timed [`CompileReport`](sentential_core::CompileReport)) |
 //! | [`kb`] | the serving layer: the [`KnowledgeBase`](kb::KnowledgeBase) builder compiles once and freezes into a shared [`FrozenKb`](kb::FrozenKb); each [`KbSession`](kb::KbSession) on it answers conditioning, marginals, MPE, top-k enumeration, entailment and exact counts over the cached SDD |
-//! | [`query`] | probabilistic databases, UCQ(≠), lineages, inversions — behind the [`QueryCompiler`] facade (and [`QueryCompiler::knowledge_base`](query::QueryCompiler::knowledge_base) for the serving layer) |
+//! | [`query`] | probabilistic databases, UCQ(≠), lineages, inversions — behind the [`QueryCompiler`](query::QueryCompiler) facade (and [`QueryCompiler::knowledge_base`](query::QueryCompiler::knowledge_base) for the serving layer) |
 //!
 //! ## Quickstart: circuits
 //!
