@@ -75,9 +75,8 @@ pub(crate) struct Ac {
     /// Flattened child lists; each `⊕`/`⊗` gate owns one contiguous range.
     pub(crate) children: Vec<AcId>,
     pub(crate) root: AcId,
-    /// The vtree variables, defining the dense index.
-    pub(crate) vars: Vec<VarId>,
-    /// Per dense variable: the shared `(¬v, v)` leaf ids.
+    /// Per dense variable (the vtree's variable order): the shared
+    /// `(¬v, v)` leaf ids.
     pub(crate) leaves: Vec<(AcId, AcId)>,
 }
 
@@ -155,7 +154,7 @@ impl Ac {
     /// sweep (or two) over the result.
     pub fn build(mgr: &SddManager, root: SddId) -> Ac {
         let vt = mgr.vtree();
-        let vars: Vec<VarId> = vt.vars().to_vec();
+        let vars = vt.vars();
         let mut b = Builder {
             mgr,
             kinds: vec![K_ZERO],
@@ -220,7 +219,6 @@ impl Ac {
             meta: b.meta,
             children: b.children,
             root: root_ac,
-            vars,
             leaves: b.leaves,
         }
     }
@@ -237,7 +235,6 @@ impl Ac {
             + size_of_val(self.meta.as_slice())
             + size_of_val(self.children.as_slice())
             + size_of_val(self.leaves.as_slice())
-            + size_of_val(self.vars.as_slice())
     }
 
     /// The child slice of gate `id` (empty for zero/leaf gates).
@@ -468,7 +465,7 @@ impl Ac {
     ) -> (Vec<S::Elem>, Vec<(S::Elem, S::Elem)>) {
         self.eval_lanes(s, lanes, weights, vals);
         let dr = self.backprop_lanes(s, lanes, vals);
-        let mut pairs = Vec::with_capacity(self.vars.len() * lanes);
+        let mut pairs = Vec::with_capacity(self.leaves.len() * lanes);
         for (i, &(neg, pos)) in self.leaves.iter().enumerate() {
             let (nb, pb) = (neg as usize * lanes, pos as usize * lanes);
             for l in 0..lanes {
@@ -505,7 +502,7 @@ impl Ac {
                 if best == f64::NEG_INFINITY {
                     return None;
                 }
-                let mut assignment: Vec<Option<bool>> = vec![None; self.vars.len()];
+                let mut assignment: Vec<Option<bool>> = vec![None; self.leaves.len()];
                 let mut stack = vec![self.root];
                 while let Some(id) = stack.pop() {
                     let (a, b) = self.meta[id as usize];
@@ -637,7 +634,7 @@ impl Ac {
         lists[self.root as usize]
             .iter()
             .map(|&(w, cell)| {
-                let mut asg: Vec<Option<bool>> = vec![None; self.vars.len()];
+                let mut asg: Vec<Option<bool>> = vec![None; self.leaves.len()];
                 if cell != EMPTY {
                     let mut stack = vec![cell];
                     while let Some(c) = stack.pop() {

@@ -7,15 +7,15 @@
 //! answers anything, and a slab is only ever read.
 //!
 //! * [`FrozenKb::session`] hands out a [`KbSession`] per serving thread: a
-//!   thin handle holding dense per-variable log-weight and pin tables plus
-//!   a few epoch-stamped memos. Every query is one lane sweep of the shared
-//!   circuit ([`Ac::eval_lanes`] and its two-pass forms), with a scalar
-//!   query as the one-lane case: weighted counts and `query` in `LogF64`,
-//!   consistency and entailment in `MaxPlus` over `{0, -∞}` weights (the
-//!   Boolean semiring — decomposability makes satisfiability one bottom-up
-//!   sweep), exact counts in `Nat`, marginals and MPE through the up+down
-//!   and argmax forms. The `*_batch` forms run the same sweeps over chunks
-//!   of [`LANE_CHUNK`] lanes.
+//!   thin handle holding its own copy of the base's weights and evidence,
+//!   the log-weights, and a few epoch-stamped memos. Every query is one
+//!   lane sweep of the shared circuit ([`Ac::eval_lanes`] and its two-pass
+//!   forms), with a scalar query as the one-lane case: weighted counts and
+//!   `query` in `LogF64`, consistency and entailment in `MaxPlus` over
+//!   `{0, -∞}` weights (the Boolean semiring — decomposability makes
+//!   satisfiability one bottom-up sweep), exact counts in `Nat`, marginals
+//!   and MPE through the up+down and argmax forms. The `*_batch` forms run
+//!   the same sweeps over chunks of [`LANE_CHUNK`] lanes.
 //! * Session [`KbSession::condition`] / [`KbSession::retract`] are pure
 //!   weight-space operations (an asserted literal zeroes the opposing
 //!   polarity) — no node is ever interned, so any number of sessions
@@ -26,6 +26,7 @@
 //! restores the frozen baseline, never less.
 
 use crate::ac::Ac;
+use crate::posture::{dense, Posture};
 use crate::{KbError, KbProvenance, KbQueryStats, Lit, Model, QueryKind};
 use arith::{log_sum_exp, BigUint, LaneSemiring, LogF64, MaxPlus, Nat};
 use boolfunc::Assignment;
@@ -43,25 +44,6 @@ use vtree::VarId;
 /// chunks, whose 9.7 MB table stays closer to cache; 8- and 32-lane chunks
 /// both measured slower than 16.
 const LANE_CHUNK: usize = 16;
-
-/// The polarities a variable's evidence still allows: bit 0 = `¬v`, bit
-/// 1 = `v`. Asserting `v := b` clears the other bit, so a variable asserted
-/// both ways allows neither.
-type Allowed = u8;
-
-/// No evidence on the variable.
-const ALLOW_BOTH: Allowed = 0b11;
-
-/// `allowed` after asserting polarity `b`.
-fn assert_polarity(allowed: Allowed, b: bool) -> Allowed {
-    allowed & if b { 0b10 } else { 0b01 }
-}
-
-/// `pair` with the polarities `allowed` excludes replaced by `zero`.
-fn masked<E: Clone>(pair: (E, E), allowed: Allowed, zero: &E) -> (E, E) {
-    let keep = |w: E, bit: Allowed| if allowed & bit != 0 { w } else { zero.clone() };
-    (keep(pair.0, 0b01), keep(pair.1, 0b10))
-}
 
 /// Literals asserted in one lane on top of the session's evidence, as
 /// `(dense variable, polarity)` pairs.
@@ -99,7 +81,7 @@ fn lane_columns<E: Clone, P: AsRef<[(usize, bool)]>>(
 }
 
 /// The read-only serving form of a [`crate::KnowledgeBase`]: the frozen
-/// SDD slab plus everything a query needs (weights, evidence pins, the
+/// SDD slab plus everything a query needs (weights and evidence, the
 /// unfolded arithmetic circuit, provenance). `Send + Sync`; share with [`Arc`] and
 /// open one [`KbSession`] per serving thread.
 pub struct FrozenKb {
@@ -107,9 +89,7 @@ pub struct FrozenKb {
     pub(crate) root: SddId,
     pub(crate) vars: Vec<VarId>,
     pub(crate) var_index: FxHashMap<VarId, usize>,
-    pub(crate) weights: FxHashMap<VarId, (f64, f64)>,
-    pub(crate) evidence: Vec<Lit>,
-    pub(crate) pinned: FxHashMap<VarId, Option<bool>>,
+    pub(crate) posture: Posture,
     pub(crate) ac: Ac,
     pub(crate) provenance: KbProvenance,
 }
@@ -154,12 +134,12 @@ impl FrozenKb {
 
     /// The evidence frozen into the base (asserted in every session).
     pub fn evidence(&self) -> &[Lit] {
-        &self.evidence
+        &self.posture.evidence
     }
 
     /// The frozen weight pair `(w⁻, w⁺)` of `v`.
     pub fn weights_of(&self, v: VarId) -> Option<(f64, f64)> {
-        self.weights.get(&v).copied()
+        self.var_index.get(&v).map(|&i| self.posture.weights[i])
     }
 
     /// Where the SDD came from, with its compilation report.
@@ -205,33 +185,19 @@ impl FrozenKb {
     /// and evidence. Cheap enough to hand one to every serving thread;
     /// sessions never contend.
     pub fn session(self: &Arc<Self>) -> KbSession {
-        let weights: Vec<(f64, f64)> = self.vars.iter().map(|v| self.weights[v]).collect();
+        let ln = |&(wn, wp): &(f64, f64)| (wn.ln(), wp.ln());
         KbSession {
             kb: Arc::clone(self),
-            log_weights: weights.iter().map(|&(wn, wp)| (wn.ln(), wp.ln())).collect(),
-            weights,
-            allowed: self.allowed(),
-            evidence: Vec::new(),
+            posture: self.posture.clone(),
+            log_weights: self.posture.weights.iter().map(ln).collect(),
             epoch: 0,
             memo: Memos::default(),
-            table: Vec::with_capacity(self.ac.size() * LANE_CHUNK),
+            table: Vec::new(),
             last_query: KbQueryStats::default(),
             eval_scratch: EvalCacheStats::default(),
             lanes_scratch: 1,
             obs: None,
         }
-    }
-
-    /// Per dense variable: the polarities the frozen evidence allows.
-    fn allowed(&self) -> Vec<Allowed> {
-        let mut allowed = vec![ALLOW_BOTH; self.vars.len()];
-        for (v, pin) in &self.pinned {
-            allowed[self.var_index[v]] = match pin {
-                Some(b) => assert_polarity(ALLOW_BOTH, *b),
-                None => 0,
-            };
-        }
-        allowed
     }
 }
 
@@ -260,24 +226,23 @@ fn at<T: Copy>(memo: Option<(u64, T)>, epoch: u64) -> Option<T> {
 /// implementation of every query.
 pub struct KbSession {
     kb: Arc<FrozenKb>,
-    /// Session-local weights `(w⁻, w⁺)` per dense variable (start as the
-    /// frozen table; [`KbSession::set_weights`] diverges them per session).
-    weights: Vec<(f64, f64)>,
-    /// `ln` of `weights`: the rows every numeric sweep starts from.
+    /// Session-local weights and evidence: a copy of the frozen base's,
+    /// which [`KbSession::set_weights`] and [`KbSession::condition`]
+    /// diverge per session. Its evidence list is the frozen evidence
+    /// followed by the session's own.
+    posture: Posture,
+    /// `ln` of the posture's weights: the rows every numeric sweep starts
+    /// from.
     log_weights: Vec<(f64, f64)>,
-    /// Per dense variable: the polarities the frozen plus session evidence
-    /// allows.
-    allowed: Vec<Allowed>,
-    /// Session-local evidence, in assertion order (the frozen evidence is
-    /// not repeated here — see [`FrozenKb::evidence`]).
-    evidence: Vec<Lit>,
-    /// Bumped by every change to `weights` or `allowed`.
+    /// Bumped by every change to the posture.
     epoch: u64,
     memo: Memos,
-    /// The value table every `f64` sweep writes, allocated once at
-    /// [`LANE_CHUNK`] lanes: sweeps reuse it instead of allocating a
-    /// table each, so the session's resident memory does not depend on
-    /// the order in which batch widths arrive.
+    /// The value table every `f64` sweep writes: sweeps reuse it instead
+    /// of allocating a table each, and it grows to the widest sweep so far
+    /// (at most [`LANE_CHUNK`] lanes), so its final size does not depend
+    /// on the order in which batch widths arrive, and a session that only
+    /// sweeps one lane (a base compiled to answer one probability) never
+    /// reserves sixteen.
     table: Vec<f64>,
     last_query: KbQueryStats,
     /// Sweep traffic of the running query, accumulated inside
@@ -363,12 +328,12 @@ impl KbSession {
     /// The session's evidence literals, in assertion order (on top of the
     /// frozen base's own evidence).
     pub fn evidence(&self) -> &[Lit] {
-        &self.evidence
+        &self.posture.evidence[self.kb.posture.evidence.len()..]
     }
 
     /// The session's current weight pair `(w⁻, w⁺)` of `v`.
     pub fn weights_of(&self, v: VarId) -> Option<(f64, f64)> {
-        self.kb.var_index.get(&v).map(|&i| self.weights[i])
+        self.kb.var_index.get(&v).map(|&i| self.posture.weights[i])
     }
 
     // ------------------------------------------------------------------
@@ -377,9 +342,6 @@ impl KbSession {
 
     /// Set `P(v = 1) = p` for this session only.
     pub fn set_probability(&mut self, v: VarId, p: f64) -> Result<(), KbError> {
-        if !(0.0..=1.0).contains(&p) {
-            return Err(KbError::InvalidWeight(v));
-        }
         self.set_weights(v, 1.0 - p, p)
     }
 
@@ -391,10 +353,7 @@ impl KbSession {
             .var_index
             .get(&v)
             .ok_or(KbError::UnknownVariable(v))?;
-        if !(neg >= 0.0 && neg.is_finite() && pos >= 0.0 && pos.is_finite()) {
-            return Err(KbError::InvalidWeight(v));
-        }
-        self.weights[i] = (neg, pos);
+        self.posture.set_weights(i, v, neg, pos)?;
         self.log_weights[i] = (neg.ln(), pos.ln());
         self.epoch += 1;
         Ok(())
@@ -412,13 +371,10 @@ impl KbSession {
     /// [`KbError::Inconsistent`], with the evidence retained — use
     /// [`KbSession::retract`] to recover).
     pub fn condition(&mut self, lits: &[Lit]) -> Result<(), KbError> {
-        let pins = self.dense(lits)?;
+        let pins = dense(&self.kb.var_index, lits)?;
         self.tracked(QueryKind::Condition, |s| {
-            for (&lit, (i, b)) in lits.iter().zip(pins) {
-                let allowed = assert_polarity(s.allowed[i], b);
-                if allowed != s.allowed[i] {
-                    s.allowed[i] = allowed;
-                    s.evidence.push(lit);
+            for (&lit, (i, _)) in lits.iter().zip(pins) {
+                if s.posture.assert(i, lit) {
                     s.epoch += 1;
                 }
             }
@@ -435,9 +391,10 @@ impl KbSession {
     /// identity, not this session's state).
     pub fn retract(&mut self) {
         self.tracked(QueryKind::Retract, |s| {
-            if !s.evidence.is_empty() {
-                s.evidence.clear();
-                s.allowed = s.kb.allowed();
+            let base = &s.kb.posture;
+            if s.posture.evidence.len() > base.evidence.len() {
+                s.posture.evidence.truncate(base.evidence.len());
+                s.posture.allowed.clone_from(&base.allowed);
                 s.epoch += 1;
             }
         })
@@ -510,7 +467,7 @@ impl KbSession {
     /// e)` as denominator (computed in a second lane of the same sweep when
     /// stale). Weights and evidence are untouched, so every memo survives.
     pub fn query(&mut self, lits: &[Lit]) -> Result<f64, KbError> {
-        let pins = self.dense(lits)?;
+        let pins = dense(&self.kb.var_index, lits)?;
         self.tracked(QueryKind::Query, |s| s.conditionals(&[pins]).map(|p| p[0]))
     }
 
@@ -666,8 +623,7 @@ impl KbSession {
     /// sweep finds no model. An empty clause is entailed exactly when the
     /// session is inconsistent.
     pub fn entails(&mut self, clause: &[Lit]) -> Result<bool, KbError> {
-        let negated: LanePins = self
-            .dense(clause)?
+        let negated: LanePins = dense(&self.kb.var_index, clause)?
             .into_iter()
             .map(|(i, b)| (i, !b))
             .collect();
@@ -683,7 +639,7 @@ impl KbSession {
             let zero = BigUint::zero();
             let cols = lane_columns(
                 s.kb.vars.len(),
-                |i| masked((BigUint::one(), BigUint::one()), s.allowed[i], &zero),
+                |i| s.posture.masked(i, (BigUint::one(), BigUint::one()), &zero),
                 &zero,
                 &ONE_LANE,
             );
@@ -698,20 +654,10 @@ impl KbSession {
     // Internals
     // ------------------------------------------------------------------
 
-    /// Dense `(index, polarity)` form of `lits`, or the first unknown
-    /// variable's error.
-    fn dense(&self, lits: &[Lit]) -> Result<LanePins, KbError> {
-        lits.iter()
-            .map(|&(v, b)| match self.kb.var_index.get(&v) {
-                Some(&i) => Ok((i, b)),
-                None => Err(KbError::UnknownVariable(v)),
-            })
-            .collect()
-    }
-
     /// The evidence-adjusted log-weight pair of dense variable `i`.
     fn posterior_pair(&self, i: usize) -> (f64, f64) {
-        masked(self.log_weights[i], self.allowed[i], &f64::NEG_INFINITY)
+        self.posture
+            .masked(i, self.log_weights[i], &f64::NEG_INFINITY)
     }
 
     /// `LogF64` lane columns: the posterior weights with each lane's pins.
@@ -784,7 +730,7 @@ impl KbSession {
         let inf = f64::NEG_INFINITY;
         let cols = lane_columns(
             self.kb.vars.len(),
-            |i| masked((0.0, 0.0), self.allowed[i], &inf),
+            |i| self.posture.masked(i, (0.0, 0.0), &inf),
             &inf,
             &[pins],
         );
@@ -928,7 +874,8 @@ impl KbSession {
         }
         self.tracked(kind, |s| {
             s.lanes_scratch = sets.len();
-            let pins: Vec<Result<LanePins, KbError>> = sets.iter().map(|e| s.dense(e)).collect();
+            let pins: Vec<Result<LanePins, KbError>> =
+                sets.iter().map(|e| dense(&s.kb.var_index, e)).collect();
             let lanes: Vec<&[(usize, bool)]> =
                 pins.iter().map(|p| p.as_deref().unwrap_or(&[])).collect();
             let answers = body(s, &lanes);

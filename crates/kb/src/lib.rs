@@ -72,11 +72,13 @@
 
 mod ac;
 mod frozen;
+mod posture;
 mod snapshot;
 
 pub use frozen::{FrozenKb, KbSession};
 
 use crate::ac::Ac;
+use crate::posture::{dense, Posture};
 use arith::LogF64;
 use boolfunc::Assignment;
 use circuit::Circuit;
@@ -300,37 +302,6 @@ impl QueryKind {
     }
 }
 
-/// Record the pin `v := b` in a pin table; `None` marks a contradicted
-/// variable (both polarities asserted). Returns whether the table changed
-/// — a repeated pin, or any pin of an already contradicted variable, is a
-/// no-op.
-fn pin(pinned: &mut FxHashMap<VarId, Option<bool>>, (v, b): Lit) -> bool {
-    match pinned.get(&v).copied() {
-        Some(Some(prev)) if prev == b => false,
-        Some(None) => false,
-        Some(Some(_)) => {
-            pinned.insert(v, None);
-            true
-        }
-        None => {
-            pinned.insert(v, Some(b));
-            true
-        }
-    }
-}
-
-/// The *structural* log pair of `v`: weights forced to `(1, 1)` so only
-/// the pins matter. Evaluating the root under this table yields `-∞`
-/// exactly when `F ∧ e` has no model.
-fn structural_log_pair(pinned: &FxHashMap<VarId, Option<bool>>, v: VarId) -> (f64, f64) {
-    match pinned.get(&v) {
-        None => (0.0, 0.0),
-        Some(Some(true)) => (f64::NEG_INFINITY, 0.0),
-        Some(Some(false)) => (0.0, f64::NEG_INFINITY),
-        Some(None) => (f64::NEG_INFINITY, f64::NEG_INFINITY),
-    }
-}
-
 /// The builder of a serving base: one compiled SDD plus the weight table
 /// and evidence to freeze in.
 ///
@@ -348,13 +319,8 @@ pub struct KnowledgeBase {
     root: SddId,
     vars: Vec<VarId>,
     var_index: FxHashMap<VarId, usize>,
-    /// Linear-domain base weights `(w⁻, w⁺)` per variable.
-    weights: FxHashMap<VarId, (f64, f64)>,
-    /// Evidence in assertion order (duplicates skipped).
-    evidence: Vec<Lit>,
-    /// Pinned polarity per evidence variable; `None` = contradicted (both
-    /// polarities asserted).
-    pinned: FxHashMap<VarId, Option<bool>>,
+    /// The weights and evidence to freeze in.
+    posture: Posture,
     provenance: KbProvenance,
 }
 
@@ -363,7 +329,7 @@ impl fmt::Debug for KnowledgeBase {
         f.debug_struct("KnowledgeBase")
             .field("vars", &self.vars.len())
             .field("sdd_size", &self.mgr.size(self.root))
-            .field("evidence", &self.evidence)
+            .field("evidence", &self.posture.evidence)
             .finish_non_exhaustive()
     }
 }
@@ -378,15 +344,12 @@ impl KnowledgeBase {
             .enumerate()
             .map(|(i, &v)| (v, i))
             .collect::<FxHashMap<_, _>>();
-        let weights: FxHashMap<VarId, (f64, f64)> = vars.iter().map(|&v| (v, (1.0, 1.0))).collect();
         KnowledgeBase {
             mgr,
             root,
+            posture: Posture::new(vars.len()),
             vars,
             var_index,
-            weights,
-            evidence: Vec::new(),
-            pinned: FxHashMap::default(),
             provenance: KbProvenance::Raw,
         }
     }
@@ -456,29 +419,20 @@ impl KnowledgeBase {
     /// Set `P(v = 1) = p` (weights `(1 - p, p)`). Errors with
     /// [`KbError::InvalidWeight`] when `p` is outside `[0, 1]` or NaN.
     pub fn set_probability(&mut self, v: VarId, p: f64) -> Result<(), KbError> {
-        if !(0.0..=1.0).contains(&p) {
-            return Err(KbError::InvalidWeight(v));
-        }
         self.set_weights(v, 1.0 - p, p)
     }
 
     /// Set the weight pair `(w⁻, w⁺)` of `v`. Weights must be nonnegative
-    /// and finite-or-zero (the serving layer works in log space); anything
-    /// else errors with [`KbError::InvalidWeight`].
+    /// and finite (the serving layer works in log space); anything else
+    /// errors with [`KbError::InvalidWeight`].
     pub fn set_weights(&mut self, v: VarId, neg: f64, pos: f64) -> Result<(), KbError> {
-        if !self.var_index.contains_key(&v) {
-            return Err(KbError::UnknownVariable(v));
-        }
-        if !(neg >= 0.0 && neg.is_finite() && pos >= 0.0 && pos.is_finite()) {
-            return Err(KbError::InvalidWeight(v));
-        }
-        self.weights.insert(v, (neg, pos));
-        Ok(())
+        let &i = self.var_index.get(&v).ok_or(KbError::UnknownVariable(v))?;
+        self.posture.set_weights(i, v, neg, pos)
     }
 
     /// The current weight pair `(w⁻, w⁺)` of `v`.
     pub fn weights_of(&self, v: VarId) -> Option<(f64, f64)> {
-        self.weights.get(&v).copied()
+        self.var_index.get(&v).map(|&i| self.posture.weights[i])
     }
 
     /// Record evidence to freeze into the base: each `(v, b)` pins
@@ -491,19 +445,14 @@ impl KnowledgeBase {
     /// base is reported as [`KbError::Inconsistent`], with the evidence
     /// retained.
     pub fn condition(&mut self, lits: &[Lit]) -> Result<(), KbError> {
-        for &(v, _) in lits {
-            if !self.var_index.contains_key(&v) {
-                return Err(KbError::UnknownVariable(v));
-            }
+        for (&lit, (i, _)) in lits.iter().zip(dense(&self.var_index, lits)?) {
+            self.posture.assert(i, lit);
         }
-        for &lit in lits {
-            if pin(&mut self.pinned, lit) {
-                self.evidence.push(lit);
-            }
-        }
-        let pinned = &self.pinned;
+        // Structural weights: `(1, 1)` masked by the pins, so the root is
+        // `-∞` exactly when `F ∧ e` has no model.
+        let (index, posture) = (&self.var_index, &self.posture);
         let root = self.mgr.evaluate(self.root, &LogF64, |v, pos| {
-            let (sn, sp) = structural_log_pair(pinned, v);
+            let (sn, sp) = posture.masked(index[&v], (0.0, 0.0), &f64::NEG_INFINITY);
             if pos {
                 sp
             } else {
@@ -519,7 +468,7 @@ impl KnowledgeBase {
 
     /// The asserted evidence literals, in assertion order.
     pub fn evidence(&self) -> &[Lit] {
-        &self.evidence
+        &self.posture.evidence
     }
 
     /// Freeze this builder into its immutable serving form: the arithmetic
@@ -534,9 +483,7 @@ impl KnowledgeBase {
             root: self.root,
             vars: self.vars,
             var_index: self.var_index,
-            weights: self.weights,
-            evidence: self.evidence,
-            pinned: self.pinned,
+            posture: self.posture,
             ac,
             provenance: self.provenance,
         }

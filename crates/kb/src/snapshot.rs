@@ -2,9 +2,8 @@
 //! [`FrozenKb::load`].
 //!
 //! A KB snapshot is a `KIND_KB` container holding the SDD store's three
-//! sections (tags 1–3, written by [`sdd::FrozenSdd::write_sections`];
-//! files from earlier writers also carry the retired tag 4, which the
-//! loader skips) followed by nine KB sections:
+//! sections (tags 1–3, written by [`sdd::FrozenSdd::write_sections`])
+//! followed by eight KB sections:
 //!
 //! | tag | section  | payload |
 //! |-----|----------|---------|
@@ -12,27 +11,33 @@
 //! | 17  | vars     | the served [`VarId`]s, defining the dense index |
 //! | 18  | weights  | per var in order: `(w⁻, w⁺)` as raw `f64::to_bits` — loads bit-identically |
 //! | 19  | evidence | frozen `(var, polarity)` literals, in assertion order |
-//! | 20  | pinned   | `(var, state)` pairs — state `0`/`1` = pinned to that polarity, `2` = contradicted |
 //! | 21  | acmeta   | AC root, then per var the shared `(¬v, v)` leaf ids |
 //! | 22  | ackinds  | one kind byte per AC gate |
 //! | 23  | acgmeta  | per gate: leaf `(var, positive)` or child range `(start, end)` |
 //! | 24  | acchild  | the flat AC child array |
 //!
+//! Tags 4 (the SDD manager's negation memo) and 20 (the evidence pin
+//! table) are retired: files from earlier writers carry them, and the
+//! loader skips them. The pins were always the fold of the evidence, so
+//! such files load to the same answers.
+//!
 //! The arithmetic circuit is persisted rather than re-unfolded because the
 //! unfold is a large share of freeze cost at serving scale, and its CSR
-//! buffers load as three straight reads. Derived tables (`var_index`) are
-//! rebuilt; provenance is [`KbProvenance::Raw`] — a compilation report is
-//! about a compilation, and a load is not one.
+//! buffers load as three straight reads. Derived tables (`var_index`, the
+//! pin mask) are rebuilt; provenance is [`KbProvenance::Raw`] — a
+//! compilation report is about a compilation, and a load is not one.
 //!
 //! Loading validates every cross-reference before trusting it: roots in
 //! the slab, variables known to the vtree and distinct, weights finite and
-//! nonnegative (the invariant [`crate::KnowledgeBase::set_weights`]
-//! enforces), evidence/pin variables served, AC gates topologically
-//! ordered with in-bounds child ranges and leaves matching the dense
-//! variable index. Anything else is a typed [`snap::SnapError`].
+//! nonnegative (the check [`crate::KnowledgeBase::set_weights`] runs),
+//! evidence literals served and each one changing the pins (no writer
+//! records a repeat), AC gates topologically ordered with in-bounds child
+//! ranges and leaves matching the dense variable index. Anything else is a
+//! typed [`snap::SnapError`].
 
 use crate::ac::{Ac, AcId, K_ADD, K_LEAF, K_MUL, K_ZERO};
-use crate::{FrozenKb, KbProvenance, Lit};
+use crate::posture::Posture;
+use crate::{FrozenKb, KbProvenance};
 use sdd::{FrozenSdd, SddId};
 use snap::{
     bytes_to_u32_pairs, bytes_to_u32s, bytes_to_u64_pairs, put_u32, put_u64, Dec, Reader,
@@ -51,8 +56,6 @@ pub const TAG_VARS: u32 = 17;
 pub const TAG_WEIGHTS: u32 = 18;
 /// Section tag: the frozen evidence.
 pub const TAG_EVIDENCE: u32 = 19;
-/// Section tag: the evidence pin table.
-pub const TAG_PINNED: u32 = 20;
 /// Section tag: AC root and literal-leaf ids.
 pub const TAG_ACMETA: u32 = 21;
 /// Section tag: AC gate kinds.
@@ -63,12 +66,7 @@ pub const TAG_ACGMETA: u32 = 23;
 pub const TAG_ACCHILD: u32 = 24;
 
 /// Sections in a KB container: the embedded slab's plus the KB's own.
-pub const KB_SECTIONS: u32 = sdd::snapshot::SDD_SECTIONS + 9;
-
-/// Pin states inside [`TAG_PINNED`].
-const PIN_FALSE: u32 = 0;
-const PIN_TRUE: u32 = 1;
-const PIN_CONTRADICTED: u32 = 2;
+pub const KB_SECTIONS: u32 = sdd::snapshot::SDD_SECTIONS + 8;
 
 impl FrozenKb {
     /// Persist this base as a `KIND_KB` container.
@@ -88,38 +86,18 @@ impl FrozenKb {
         w.section(TAG_VARS, &buf)?;
 
         let mut buf = Vec::with_capacity(self.vars.len() * 16);
-        for &v in &self.vars {
-            let (wn, wp) = self.weights.get(&v).copied().unwrap_or((1.0, 1.0));
+        for &(wn, wp) in &self.posture.weights {
             put_u64(&mut buf, wn.to_bits());
             put_u64(&mut buf, wp.to_bits());
         }
         w.section(TAG_WEIGHTS, &buf)?;
 
-        let mut buf = Vec::with_capacity(self.evidence.len() * 8);
-        for &(v, b) in &self.evidence {
+        let mut buf = Vec::with_capacity(self.posture.evidence.len() * 8);
+        for &(v, b) in &self.posture.evidence {
             put_u32(&mut buf, v.0);
             put_u32(&mut buf, b as u32);
         }
         w.section(TAG_EVIDENCE, &buf)?;
-
-        // Deterministic output: pin entries sorted by variable (the map's
-        // iteration order is not).
-        let mut pins: Vec<(VarId, Option<bool>)> =
-            self.pinned.iter().map(|(&v, &s)| (v, s)).collect();
-        pins.sort_unstable_by_key(|&(v, _)| v);
-        let mut buf = Vec::with_capacity(pins.len() * 8);
-        for (v, state) in pins {
-            put_u32(&mut buf, v.0);
-            put_u32(
-                &mut buf,
-                match state {
-                    Some(false) => PIN_FALSE,
-                    Some(true) => PIN_TRUE,
-                    None => PIN_CONTRADICTED,
-                },
-            );
-        }
-        w.section(TAG_PINNED, &buf)?;
 
         let mut buf = Vec::with_capacity(4 + self.ac.leaves.len() * 8);
         put_u32(&mut buf, self.ac.root);
@@ -188,71 +166,49 @@ impl FrozenKb {
                 what: "weight table length disagrees with the variable list",
             });
         }
-        let mut weights: FxHashMap<VarId, (f64, f64)> = FxHashMap::default();
-        for (&v, &(nb, pb)) in vars.iter().zip(pairs.iter()) {
+        let mut posture = Posture::new(vars.len());
+        for (i, (&v, &(nb, pb))) in vars.iter().zip(&pairs).enumerate() {
             let (wn, wp) = (f64::from_bits(nb), f64::from_bits(pb));
-            // The invariant KnowledgeBase::set_weights enforces.
-            if !(wn >= 0.0 && wn.is_finite() && wp >= 0.0 && wp.is_finite()) {
+            if posture.set_weights(i, v, wn, wp).is_err() {
                 return Err(SnapError::Invalid {
                     what: "weight not finite and nonnegative",
                 });
             }
-            weights.insert(v, (wn, wp));
         }
 
-        let mut evidence: Vec<Lit> = Vec::new();
+        // The pins are rebuilt by asserting the evidence in order; a
+        // literal that changes nothing was never recorded by any writer.
         for (v, b) in bytes_to_u32_pairs(&r.take(TAG_EVIDENCE)?, "evidence section ragged")? {
-            if !var_index.contains_key(&VarId(v)) || b > 1 {
+            let v = VarId(v);
+            let Some(&i) = var_index.get(&v).filter(|_| b <= 1) else {
                 return Err(SnapError::Invalid {
                     what: "malformed evidence literal",
                 });
-            }
-            evidence.push((VarId(v), b == 1));
-        }
-
-        let mut pinned: FxHashMap<VarId, Option<bool>> = FxHashMap::default();
-        for (v, state) in bytes_to_u32_pairs(&r.take(TAG_PINNED)?, "pin section ragged")? {
-            let v = VarId(v);
-            if !var_index.contains_key(&v) {
-                return Err(SnapError::Invalid {
-                    what: "pinned variable not served",
-                });
-            }
-            let state = match state {
-                PIN_FALSE => Some(false),
-                PIN_TRUE => Some(true),
-                PIN_CONTRADICTED => None,
-                _ => {
-                    return Err(SnapError::Invalid {
-                        what: "unknown pin state",
-                    })
-                }
             };
-            if pinned.insert(v, state).is_some() {
+            if !posture.assert(i, (v, b == 1)) {
                 return Err(SnapError::Invalid {
-                    what: "duplicate pin entry",
+                    what: "evidence literal changes no pin",
                 });
             }
         }
 
-        let ac = read_ac(&mut r, vars.clone())?;
+        let ac = read_ac(&mut r, vars.len())?;
 
         Ok(FrozenKb {
             sdd: Arc::new(sdd),
             root,
             vars,
             var_index,
-            weights,
-            evidence,
-            pinned,
+            posture,
             ac,
             provenance: KbProvenance::Raw,
         })
     }
 }
 
-/// Read and validate the four AC sections into a circuit over `vars`.
-fn read_ac(r: &mut Reader, vars: Vec<VarId>) -> Result<Ac, SnapError> {
+/// Read and validate the four AC sections into a circuit over `num_vars`
+/// dense variables.
+fn read_ac(r: &mut Reader, num_vars: usize) -> Result<Ac, SnapError> {
     let meta = r.take(TAG_ACMETA)?;
     let mut d = Dec::new(&meta, "acmeta section");
     let root = d.u32()?;
@@ -260,7 +216,7 @@ fn read_ac(r: &mut Reader, vars: Vec<VarId>) -> Result<Ac, SnapError> {
         .chunks_exact(2)
         .map(|c| (c[0], c[1]))
         .collect();
-    if leaves.len() != vars.len() {
+    if leaves.len() != num_vars {
         return Err(SnapError::Invalid {
             what: "ac leaf table length disagrees with the variable list",
         });
@@ -283,7 +239,7 @@ fn read_ac(r: &mut Reader, vars: Vec<VarId>) -> Result<Ac, SnapError> {
         match kind {
             K_ZERO => {}
             K_LEAF => {
-                if a as usize >= vars.len() || b > 1 {
+                if a as usize >= num_vars || b > 1 {
                     return Err(SnapError::Invalid {
                         what: "ac leaf gate out of bounds",
                     });
@@ -332,7 +288,6 @@ fn read_ac(r: &mut Reader, vars: Vec<VarId>) -> Result<Ac, SnapError> {
         meta: gmeta,
         children,
         root,
-        vars,
         leaves,
     })
 }

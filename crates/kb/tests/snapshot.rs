@@ -208,42 +208,177 @@ fn loaded_kb_reconditions_against_brute_force() {
     assert_bit_identical(&loaded, &again);
 }
 
+/// The section tags a current writer emits, in order.
+const CURRENT_TAGS: [u32; 11] = [1, 2, 3, 16, 17, 18, 19, 21, 22, 23, 24];
+
+/// Rebuild the `KIND_KB` container `bytes` section by section: `edit`
+/// maps each current section to the sections written in its place.
+fn relayout(bytes: &[u8], mut edit: impl FnMut(u32, Vec<u8>) -> Vec<(u32, Vec<u8>)>) -> Vec<u8> {
+    let mut r = snap::Reader::new(&mut &bytes[..], snap::KIND_KB).unwrap();
+    let sections: Vec<(u32, Vec<u8>)> = CURRENT_TAGS
+        .iter()
+        .flat_map(|&tag| edit(tag, r.take(tag).unwrap()))
+        .collect();
+    let mut w = snap::Writer::new(Vec::new(), snap::KIND_KB, sections.len() as u32).unwrap();
+    for (tag, payload) in &sections {
+        w.section(*tag, payload).unwrap();
+    }
+    w.finish().unwrap()
+}
+
+/// An evidence section (tag 19) payload: `(var, polarity)` words.
+fn evidence_payload(evidence: &[(VarId, bool)]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for &(v, b) in evidence {
+        snap::put_u32(&mut out, v.0);
+        snap::put_u32(&mut out, b as u32);
+    }
+    out
+}
+
+/// The retired pin section (tag 20) as earlier writers folded it from the
+/// evidence: `(var, state)` words sorted by variable, state 0/1 = pinned
+/// to that polarity, 2 = both polarities asserted.
+fn legacy_pins(evidence: &[(VarId, bool)]) -> Vec<u8> {
+    let mut pins = std::collections::BTreeMap::new();
+    for &(v, b) in evidence {
+        let state = pins.entry(v.0).or_insert(b as u32);
+        if *state != b as u32 {
+            *state = 2;
+        }
+    }
+    let mut out = Vec::new();
+    for (v, state) in pins {
+        snap::put_u32(&mut out, v);
+        snap::put_u32(&mut out, state);
+    }
+    out
+}
+
 /// Containers from earlier writers carry a fourth SDD section, the
-/// manager's negation memo (tag 4, right after the arena). A base saved
+/// manager's negation memo (tag 4, right after the arena), and the pin
+/// table folded from the evidence (tag 20, right after it). A base saved
 /// that way still loads and answers bit-identically to a current round
 /// trip; saving it again writes the current layout.
 #[test]
 fn legacy_negation_section_is_skipped_on_load() {
-    use sdd::snapshot::{TAG_ARENA, TAG_NODES, TAG_VTREE};
+    use sdd::snapshot::{TAG_ARENA, TAG_NODES};
     let kb = frozen_instance(8, 10, 42);
+    assert!(!kb.evidence().is_empty(), "the fixture freezes evidence in");
     let bytes = save(&kb);
     let current = Arc::new(FrozenKb::load(bytes.as_slice()).unwrap());
 
-    // The legacy layout: vtree, nodes, arena, then tag 4 with one id per
-    // node (u32::MAX = no negation known), then the nine KB sections
-    // (tags 16–24).
-    let mut r = snap::Reader::new(&mut bytes.as_slice(), snap::KIND_KB).unwrap();
-    let mut w = snap::Writer::new(Vec::new(), snap::KIND_KB, 13).unwrap();
+    let pins = legacy_pins(kb.evidence());
     let mut num_nodes = 0;
-    for tag in [TAG_VTREE, TAG_NODES, TAG_ARENA] {
-        let payload = r.take(tag).unwrap();
-        if tag == TAG_NODES {
+    let legacy = relayout(&bytes, |tag, payload| match tag {
+        TAG_NODES => {
             num_nodes = payload.len() / 16;
+            vec![(tag, payload)]
         }
-        w.section(tag, &payload).unwrap();
-    }
-    let mut neg = Vec::new();
-    for _ in 0..num_nodes {
-        snap::put_u32(&mut neg, u32::MAX);
-    }
-    w.section(4, &neg).unwrap();
-    for tag in 16..=24 {
-        w.section(tag, &r.take(tag).unwrap()).unwrap();
-    }
-    let legacy = w.finish().unwrap();
-    assert_eq!(legacy.len(), bytes.len() + 20 + 4 * num_nodes);
+        // One id per node (u32::MAX = no negation known).
+        TAG_ARENA => vec![(tag, payload), (4, vec![0xFF; 4 * num_nodes])],
+        19 => vec![(tag, payload), (20, pins.clone())],
+        _ => vec![(tag, payload)],
+    });
+    assert_eq!(
+        legacy.len(),
+        bytes.len() + 20 + 4 * num_nodes + 20 + pins.len()
+    );
 
     let loaded = Arc::new(FrozenKb::load(legacy.as_slice()).unwrap());
     assert_bit_identical(&current, &loaded);
     assert_eq!(save(&loaded), bytes);
+}
+
+/// The demo formula `(x0 ∨ x1) ∧ (¬x1 ∨ x2)` frozen under `evidence`:
+/// three models with x0, one without.
+fn demo_base(evidence: &[(VarId, bool)]) -> Arc<FrozenKb> {
+    let f = CnfFormula::from_clauses(
+        3,
+        vec![
+            vec![(VarId(0), true), (VarId(1), true)],
+            vec![(VarId(1), false), (VarId(2), true)],
+        ],
+    );
+    let mut kb = KnowledgeBase::compile_cnf(&Compiler::new(), &f).unwrap();
+    let _ = kb.condition(evidence);
+    Arc::new(kb.freeze())
+}
+
+/// A legacy pin section that disagrees with the evidence beside it is
+/// skipped like any retired section: the base serves the evidence's
+/// answers, never the stale pins'.
+#[test]
+fn legacy_pins_disagreeing_with_the_evidence_serve_the_evidence() {
+    let x0 = (VarId(0), true);
+    let kb = demo_base(&[x0]);
+    let bytes = save(&kb);
+    let lying = relayout(&bytes, |tag, payload| match tag {
+        19 => vec![(tag, payload), (20, legacy_pins(&[(VarId(0), false)]))],
+        _ => vec![(tag, payload)],
+    });
+    let loaded = Arc::new(FrozenKb::load(lying.as_slice()).unwrap());
+    assert_eq!(loaded.evidence(), &[x0]);
+    let mut s = loaded.session();
+    assert_eq!(s.count_models().to_u128(), Some(3));
+    assert_eq!(s.marginal(VarId(0)), Ok(1.0));
+    assert_bit_identical(&kb, &loaded);
+}
+
+/// Every writer records only the literals that change the pins, so an
+/// evidence section with a repeat — of a pinned literal, or of any literal
+/// on a variable already asserted both ways — is corrupt: a typed error,
+/// never a panic. A contradiction itself is a real (inconsistent) base.
+#[test]
+fn evidence_that_changes_no_pin_is_rejected() {
+    let (x0, not_x0) = ((VarId(0), true), (VarId(0), false));
+    let bytes = save(&demo_base(&[x0]));
+    let with_evidence = |evidence: &[(VarId, bool)]| {
+        let payload = evidence_payload(evidence);
+        let bytes = relayout(&bytes, |tag, old| {
+            vec![(tag, if tag == 19 { payload.clone() } else { old })]
+        });
+        FrozenKb::load(bytes.as_slice())
+    };
+    for bad in [vec![x0, x0], vec![x0, not_x0, x0], vec![x0, not_x0, not_x0]] {
+        assert!(
+            matches!(with_evidence(&bad), Err(SnapError::Invalid { .. })),
+            "{bad:?}"
+        );
+    }
+    let contradicted = Arc::new(with_evidence(&[x0, not_x0]).unwrap());
+    assert_eq!(contradicted.evidence(), &[x0, not_x0]);
+    assert!(!contradicted.session().is_consistent());
+}
+
+/// `tests/data/chain20_not_x3.kbsnap` was written by the previous snapshot
+/// writer (tag 20 included): `chain:20` compiled without up-front exact
+/// counts, with `¬x3` (VarId 2) frozen in. It answers bit-identically to a
+/// fresh compile, condition and freeze, and re-saving it writes the
+/// current layout.
+#[test]
+fn fixture_from_the_previous_writer_loads_and_resaves_in_the_current_layout() {
+    let fixture: &[u8] = include_bytes!("data/chain20_not_x3.kbsnap");
+    assert!(
+        snap::Reader::new(&mut &fixture[..], snap::KIND_KB)
+            .unwrap()
+            .take(20)
+            .is_ok(),
+        "the fixture carries the retired pin section"
+    );
+    let loaded = Arc::new(FrozenKb::load(fixture).unwrap());
+
+    let compiler = Compiler::builder().exact_counts(false).build();
+    let mut kb = KnowledgeBase::compile_cnf(&compiler, &cnf::families::chain_cnf(20)).unwrap();
+    kb.condition(&[(VarId(2), false)]).unwrap();
+    let fresh = Arc::new(kb.freeze());
+
+    assert_bit_identical(&fresh, &loaded);
+    let mut s = loaded.session();
+    assert_eq!(s.count_models().to_u128(), Some(5168));
+    s.retract();
+    assert_eq!(s.count_models().to_u128(), Some(5168));
+    let resaved = save(&loaded);
+    assert_eq!(resaved, save(&fresh));
+    assert_eq!(resaved.len(), fixture.len() - 20 - 8);
 }

@@ -48,6 +48,12 @@ pub const PROTOCOL_VERSION: u32 = 4;
 /// (the batched kernels' sweet spot — the widest batch the benches gate).
 pub const MAX_COALESCE_LANES: usize = 64;
 
+/// Largest `k` a `top <k>` request may ask for. The top-`k` sweep keeps up
+/// to `k` candidates at every gate, so its memory grows linearly in `k`
+/// (about 1.7 MiB per unit of `k` on a 76k-gate circuit); the cap is the
+/// coalescing width, [`MAX_COALESCE_LANES`].
+pub const MAX_TOP_K: usize = MAX_COALESCE_LANES;
+
 /// Traces retained per server in the slow-query log (the N worst).
 pub const SLOW_LOG_CAPACITY: usize = 32;
 
@@ -70,6 +76,8 @@ pub enum ProtocolError {
     BadVariable(String),
     /// A numeric argument (kb id, `top` k) did not parse.
     BadNumber(String),
+    /// A `top <k>` asked for more than [`MAX_TOP_K`] models.
+    TopTooLarge(usize),
     /// A `setp` probability token did not parse as a float.
     BadProbability(String),
     /// A `setp` probability parsed but is NaN or infinite — rejected at
@@ -99,6 +107,7 @@ impl fmt::Display for ProtocolError {
                 write!(f, "bad variable {t:?} (want a 1-based index)")
             }
             ProtocolError::BadNumber(t) => write!(f, "bad number {t:?}"),
+            ProtocolError::TopTooLarge(k) => write!(f, "top {k} exceeds the limit of {MAX_TOP_K}"),
             ProtocolError::BadProbability(t) => write!(f, "bad probability {t:?}"),
             ProtocolError::NonFiniteProbability(t) => {
                 write!(f, "probability {t:?} is not finite")
@@ -126,7 +135,7 @@ pub enum Command {
     AllMarginals,
     /// `mpe` — most probable explanation (log-weight + assignment bits).
     Mpe,
-    /// `top <k>` — the `k` heaviest models.
+    /// `top <k>` — the `k` heaviest models (`k` at most [`MAX_TOP_K`]).
     Top(usize),
     /// `query <lit>…` — conditional probability of a conjunction.
     Query(Vec<Lit>),
@@ -214,10 +223,11 @@ fn parse_command(rest: &[&str]) -> Result<Command, ProtocolError> {
         ["marginal", v] => Command::Marginal(parse_var(v)?),
         ["marginals"] => Command::AllMarginals,
         ["mpe"] => Command::Mpe,
-        ["top", k] => Command::Top(
-            k.parse()
-                .map_err(|_| ProtocolError::BadNumber((*k).into()))?,
-        ),
+        ["top", k] => match k.parse() {
+            Ok(k) if k <= MAX_TOP_K => Command::Top(k),
+            Ok(k) => return Err(ProtocolError::TopTooLarge(k)),
+            Err(_) => return Err(ProtocolError::BadNumber((*k).into())),
+        },
         ["query", lits @ ..] if !lits.is_empty() => Command::Query(parse_lits(lits)?),
         ["logw"] => Command::LogWeight,
         ["pe"] => Command::ProbEvidence,
@@ -1247,6 +1257,34 @@ mod tests {
         assert_eq!(
             parse_request("frobnicate").unwrap_err(),
             ProtocolError::Unparseable("frobnicate".into())
+        );
+    }
+
+    /// `top <k>` is capped at [`MAX_TOP_K`], alone and inside a batch.
+    #[test]
+    fn top_k_is_capped_on_the_wire() {
+        assert_eq!(
+            parse_request("kb 0 top 64").unwrap(),
+            Some(Request::Query {
+                kb: 0,
+                cmd: Command::Top(64)
+            })
+        );
+        assert_eq!(
+            parse_request("kb 0 top 65").unwrap_err(),
+            ProtocolError::TopTooLarge(65)
+        );
+        assert_eq!(
+            parse_request("kb 0 top 18446744073709551615").unwrap_err(),
+            ProtocolError::TopTooLarge(usize::MAX)
+        );
+        assert_eq!(
+            parse_request("kb 0 top 18446744073709551616").unwrap_err(),
+            ProtocolError::BadNumber("18446744073709551616".into())
+        );
+        assert_eq!(
+            parse_request("batch 0 top 2 ; top 65").unwrap_err(),
+            ProtocolError::TopTooLarge(65)
         );
     }
 
