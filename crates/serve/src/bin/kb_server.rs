@@ -38,8 +38,8 @@
 //! leaves in one `write`; every accepted socket runs with `TCP_NODELAY`,
 //! so that write is not held back waiting for the client's ACK. Stdin mode
 //! runs the same two threads. A request line is capped at
-//! [`MAX_LINE_BYTES`]; a longer one is answered `err line too long …` and
-//! skipped, and the connection serves on.
+//! [`MAX_LINE_BYTES`]; a longer one is answered `<seq> err line too long …`
+//! and skipped, and the connection serves on.
 //!
 //! Every conversation opens with a versioned banner so clients can check
 //! compatibility before sending anything:
@@ -48,16 +48,18 @@
 //! hello kb-server protocol 4 snap 1 obs 1
 //! ```
 //!
-//! Protocol (one request per line; answers are `<seq> ok …` / `<seq> err …`
-//! and may arrive out of order — `sync` is a barrier: `synced` follows
-//! every answer to an earlier request and precedes every later one;
-//! `stats` prints per-shard counters plus an `all …` merged line, and
-//! `metrics` dumps the pool-wide telemetry in Prometheus text format, both
-//! behind the same barrier so they count every earlier request; `slow` /
-//! `trace <id>` inspect the slow-query log as single-line JSON, `save <id>
-//! <path>` persists a base's frozen state as a snapshot; `quit` stops the
-//! server and EOF ends the conversation, each after writing every
-//! outstanding answer):
+//! Protocol (one request per line, and every request line takes a seq:
+//! answers are `<seq> ok …` / `<seq> err …` and may arrive out of order,
+//! but the `err` of a line that reached no shard — it did not parse, or
+//! names no loaded base — follows every earlier answer; `sync` is a
+//! barrier: `synced` follows every answer to an earlier request and
+//! precedes every later one; `stats` prints per-shard counters plus an
+//! `all …` merged line, and `metrics` dumps the pool-wide telemetry in
+//! Prometheus text format, both behind the same barrier so they count
+//! every earlier request; `slow` / `trace <id>` inspect the slow-query log
+//! as single-line JSON, `save <id> <path>` persists a base's frozen state
+//! as a snapshot; `quit` stops the server and EOF ends the conversation,
+//! each after writing every outstanding answer):
 //!
 //! ```text
 //! kb <id> marginal <var> | marginals | mpe | top <k> | query <lit>… |
@@ -204,9 +206,10 @@ fn read_requests(
     input: &mut dyn BufRead,
 ) -> std::io::Result<bool> {
     // A failed send means the writer is gone (the client hung up); reading
-    // on until EOF is all that is left to do.
-    let note = |after: u64, text: String| {
+    // on until EOF is all that is left to do. A note takes no seq: `None`.
+    let note = |after: u64, text: String| -> Option<Result<u64, String>> {
         let _ = notes.send(Reply::Note { after, text });
+        None
     };
     note(
         0,
@@ -216,8 +219,8 @@ fn read_requests(
             obs::OBS_VERSION
         ),
     );
-    // Requests submitted so far. Seqs are handed out 0, 1, 2, …, so a
-    // barrier at `submitted` follows exactly the earlier requests' answers.
+    // Seqs taken so far. They are handed out 0, 1, 2, …, so a barrier at
+    // `submitted` follows exactly the earlier requests' answers.
     let mut submitted = 0u64;
     let mut line = Vec::new();
     loop {
@@ -226,20 +229,15 @@ fn read_requests(
             Input::TooLong => Err(ProtocolError::LineTooLong),
             Input::Line => parse_request(&String::from_utf8_lossy(&line)),
         };
-        match request {
-            Ok(None) => {}
+        let sent = match request {
+            Ok(None) => None,
             Ok(Some(Request::Quit)) => return Ok(false),
             Ok(Some(Request::Sync)) => note(submitted, "synced\n".into()),
             Ok(Some(Request::Stats)) => {
                 let stats = client.shard_stats();
-                let mut text = String::new();
-                for s in &stats {
-                    text.push_str(&s.render());
-                    text.push('\n');
-                }
-                text.push_str(&ShardStats::render_merged(&stats));
-                text.push('\n');
-                note(submitted, text);
+                let mut rows: Vec<String> = stats.iter().map(ShardStats::render).collect();
+                rows.push(ShardStats::render_merged(&stats));
+                note(submitted, rows.join("\n") + "\n")
             }
             Ok(Some(Request::Metrics)) => note(submitted, client.metrics_text(Some(boot))),
             Ok(Some(Request::Slow)) => {
@@ -252,7 +250,7 @@ fn read_requests(
                     text.push_str(&t.to_json());
                     text.push('\n');
                 }
-                note(0, text);
+                note(0, text)
             }
             Ok(Some(Request::Trace(id))) => note(
                 0,
@@ -268,15 +266,17 @@ fn read_requests(
                     Err(e) => format!("err {e}\n"),
                 },
             ),
-            Ok(Some(Request::Query { kb, cmd })) => match client.submit(kb, cmd) {
-                Ok(seq) => submitted = seq + 1,
-                Err(e) => note(0, format!("err {e}\n")),
-            },
-            Ok(Some(Request::Batch { kb, cmds })) => match client.submit_batch(kb, cmds) {
-                Ok(seq) => submitted = seq + 1,
-                Err(e) => note(0, format!("err {e}\n")),
-            },
-            Err(e) => note(0, format!("err {e}\n")),
+            Ok(Some(Request::Query { kb, cmd })) => Some(client.submit(kb, cmd)),
+            Ok(Some(Request::Batch { kb, cmds })) => Some(client.submit_batch(kb, cmds)),
+            Err(e) => Some(Err(e.to_string())),
+        };
+        // Every request line takes a seq. A rejected line's `err` takes the
+        // next one and, like a barrier, follows every earlier answer.
+        if let Some(sent) = sent {
+            submitted = 1 + sent.unwrap_or_else(|why| {
+                note(submitted, String::new());
+                client.reject(why)
+            });
         }
     }
 }

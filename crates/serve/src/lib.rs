@@ -24,7 +24,7 @@
 //! `examples/kb_server.rs` at the workspace root for the end-to-end loop.
 
 use kb::{FrozenKb, KbSession, Lit, Model};
-use obs::{MetricsRegistry, MetricsSnapshot, SlowLog, TraceRecord};
+use obs::{Counter, Histogram, MetricsRegistry, MetricsSnapshot, SlowLog, TraceRecord};
 use std::fmt;
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -308,9 +308,13 @@ pub fn parse_request(line: &str) -> Result<Option<Request>, ProtocolError> {
 }
 
 /// Lifetime counters of one shard worker, reported by
-/// [`ClientHandle::stats`] and returned by [`KbServer::shutdown`]. The eval counters aggregate the
-/// per-query [`kb::KbQueryStats`] sweep traffic across every session the
-/// shard owns, so a serving deployment sees how often its memos answer.
+/// [`ClientHandle::stats`] and returned by [`KbServer::shutdown`]. A view:
+/// the worker records each quantity once, in its shard's registry, and
+/// this struct reads them back. `served`, `queue_wait`, `coalesced`,
+/// `window_wait` and `kbs` are the worker's `serve_*{shard}` families;
+/// `busy` and the eval counters sum the `kb_query_us` and `kb_eval_*_total`
+/// families the shard's sessions record per [`kb::KbQueryStats`], so a
+/// serving deployment sees how often its memos answer.
 #[derive(Clone, Debug, Default)]
 pub struct ShardStats {
     /// Shard index.
@@ -390,13 +394,41 @@ impl ShardStats {
         }
         all
     }
+
+    /// Read shard `shard`'s counters back from a snapshot of its registry.
+    /// The registry holds that shard's rows only, so each family's total
+    /// over its labels (one `shard` row, or one row per query kind) is the
+    /// shard's.
+    fn from_snapshot(shard: usize, snap: &MetricsSnapshot) -> ShardStats {
+        let total = |family: &str| -> u64 {
+            let rows = snap.counters.iter().filter(|(key, _)| key.name == family);
+            rows.map(|(_, v)| v).sum()
+        };
+        let busy_us = snap
+            .histograms
+            .iter()
+            .filter(|(key, _)| key.name == "kb_query_us");
+        let kbs = snap.gauges.iter().find(|(key, _)| key.name == "serve_kbs");
+        ShardStats {
+            shard,
+            kbs: kbs.map_or(0, |(_, &v)| v as usize),
+            served: total("serve_requests_total"),
+            busy: Duration::from_micros(busy_us.map(|(_, h)| h.sum).sum()),
+            queue_wait: Duration::from_micros(total("serve_queue_wait_us_total")),
+            eval_lookups: total("kb_eval_lookups_total"),
+            eval_hits: total("kb_eval_hits_total"),
+            eval_recomputed: total("kb_eval_recomputed_total"),
+            coalesced: total("serve_coalesced_total"),
+            window_wait: Duration::from_micros(total("serve_window_wait_us_total")),
+        }
+    }
 }
 
-/// One message on a client's reply channel. Shards only ever send
-/// [`Reply::Answer`]; a front-end that took the channel over
-/// ([`ClientHandle::take_replies`]) queues its own output on it as
-/// [`Reply::Note`]s, so one writer sees answers and front-end lines in the
-/// order they became due.
+/// One message on a client's reply channel. Shards (and
+/// [`ClientHandle::reject`]) only ever send [`Reply::Answer`]; a front-end
+/// that took the channel over ([`ClientHandle::take_replies`]) queues its
+/// own output on it as [`Reply::Note`]s, so one writer sees answers and
+/// front-end lines in the order they became due.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Reply {
     /// The answer to request `seq`, rendered `ok …` / `err …`.
@@ -408,46 +440,65 @@ pub enum Reply {
     Note { after: u64, text: String },
 }
 
+/// One request as a shard worker receives it: the command (one
+/// [`Command`], or a `batch` line's list), the base it names, when it was
+/// enqueued (feeds [`ShardStats::queue_wait`]) and where its answer goes.
+struct Pending<C> {
+    seq: u64,
+    kb: usize,
+    cmd: C,
+    submitted: Instant,
+    /// Each [`ClientHandle`] collects on its own channel, so concurrent
+    /// conversations never see each other's responses — and a coalesced
+    /// group fans its per-lane answers back to each member's own client.
+    reply: mpsc::Sender<Reply>,
+}
+
+impl<C> Pending<C> {
+    fn answer(self, line: String) {
+        let _ = self.reply.send(Reply::Answer(self.seq, line));
+    }
+}
+
 enum Job {
-    Run {
-        seq: u64,
-        kb: usize,
-        cmd: Command,
-        /// When the front-end enqueued the job (feeds
-        /// [`ShardStats::queue_wait`]).
-        submitted: Instant,
-        /// Where the answer goes. Each [`ClientHandle`] collects on its own
-        /// channel, so concurrent conversations never see each other's
-        /// responses — and a coalesced group fans its per-lane answers back
-        /// to each member's own client.
-        reply: mpsc::Sender<Reply>,
-    },
+    /// A `kb <id> …` request: the coalescer's unit of grouping.
+    Run(Pending<Command>),
     /// A `batch` request: N sub-commands against one base, answered as a
     /// single response block by the owning shard.
-    RunBatch {
-        seq: u64,
-        kb: usize,
-        cmds: Vec<Command>,
-        submitted: Instant,
-        reply: mpsc::Sender<Reply>,
-    },
-    Stats {
-        reply: mpsc::Sender<ShardStats>,
-    },
+    RunBatch(Pending<Vec<Command>>),
+    /// A barrier: acknowledged once every job queued ahead of it is
+    /// answered, so the shard's registry counts them all.
+    Barrier(mpsc::Sender<()>),
     /// Explicit worker shutdown ([`KbServer::shutdown`]): queued work ahead
     /// of this marker still completes, then the worker exits even while
     /// forked [`ClientHandle`]s keep their job senders alive.
     Shutdown,
 }
 
-/// A dequeued `Run` job the shard worker has taken ownership of — the
-/// coalescer's unit of grouping.
-struct Pending {
-    seq: u64,
-    kb: usize,
-    cmd: Command,
-    submitted: Instant,
-    reply: mpsc::Sender<Reply>,
+/// The serve counters of one shard worker, resolved once at spawn in the
+/// shard's registry under `shard=<i>`. The worker records through them;
+/// [`ShardStats::from_snapshot`] reads them back.
+struct ShardBooks {
+    requests: Counter,
+    queue_wait_us: Counter,
+    coalesced: Counter,
+    window_wait_us: Counter,
+    batch_depth: Histogram,
+}
+
+impl ShardBooks {
+    fn new(registry: &MetricsRegistry, shard: usize, kbs: usize) -> ShardBooks {
+        let shard = shard.to_string();
+        let label = [("shard", shard.as_str())];
+        registry.gauge("serve_kbs", &label).set(kbs as f64);
+        ShardBooks {
+            requests: registry.counter("serve_requests_total", &label),
+            queue_wait_us: registry.counter("serve_queue_wait_us_total", &label),
+            coalesced: registry.counter("serve_coalesced_total", &label),
+            window_wait_us: registry.counter("serve_window_wait_us_total", &label),
+            batch_depth: registry.histogram("serve_batch_depth", &label),
+        }
+    }
 }
 
 /// One shard-owned session slot, with what the coalescer needs to prove
@@ -471,88 +522,101 @@ impl ShardSlot {
     }
 }
 
-/// May `(kb, cmd)` join a coalesced group led by `leader`? Same command
-/// family always; and either the very same base (one session answers all
-/// its own queued queries — whatever its posture, `query_batch` is the
-/// scalar loop bit-for-bit) or a replica of the same slab with both
-/// sessions at the baseline posture (then the leader's session answers for
-/// the member's, and determinism makes the answers bit-identical).
-fn coalescible_with(slots: &[ShardSlot], leader: &Pending, kb: usize, cmd: &Command) -> bool {
+/// The slot of base `kb`. Jobs reach the shard that [`ClientHandle`]'s
+/// route names, and that shard opened a slot for every base routed to it.
+fn slot_of(slots: &mut [ShardSlot], kb: usize) -> &mut ShardSlot {
+    let slot = slots.iter_mut().find(|t| t.id == kb);
+    slot.expect("every base routed to a shard has a slot there")
+}
+
+/// May `next` join a coalesced group led by `leader`? Same command family
+/// always; and either the very same base (one session answers all its own
+/// queued queries — whatever its posture, `query_batch` is the scalar loop
+/// bit-for-bit) or a replica of the same slab with both sessions at the
+/// baseline posture (then the leader's session answers for the member's,
+/// and determinism makes the answers bit-identical).
+fn coalescible_with(
+    slots: &[ShardSlot],
+    leader: &Pending<Command>,
+    next: &Pending<Command>,
+) -> bool {
     let same_family = matches!(
-        (&leader.cmd, cmd),
+        (&leader.cmd, &next.cmd),
         (Command::Query(_), Command::Query(_)) | (Command::Marginal(_), Command::Marginal(_))
     );
     if !same_family {
         return false;
     }
-    if kb == leader.kb {
+    if next.kb == leader.kb {
         return true;
     }
     let (Some(a), Some(b)) = (
         slots.iter().find(|t| t.id == leader.kb),
-        slots.iter().find(|t| t.id == kb),
+        slots.iter().find(|t| t.id == next.kb),
     ) else {
         return false;
     };
     Arc::ptr_eq(&a.slab, &b.slab) && a.baseline() && b.baseline()
 }
 
-/// Fold one query's cost into the shard counters.
-fn observe_query(stats: &mut ShardStats, q: &kb::KbQueryStats) {
-    stats.busy += q.duration;
-    stats.eval_lookups += q.eval.lookups;
-    stats.eval_hits += q.eval.hits;
-    stats.eval_recomputed += q.eval.recomputed;
-}
-
-/// The scalar per-job path (also the `--batch-window 0` path, unchanged
-/// from the sequential server: no timers, no queue scans).
-fn run_single(slots: &mut [ShardSlot], stats: &mut ShardStats, shard: usize, p: Pending) {
-    stats.queue_wait += p.submitted.elapsed();
-    let line = match slots.iter_mut().find(|t| t.id == p.kb) {
-        Some(slot) => {
-            if matches!(p.cmd, Command::SetProbability(..)) {
-                slot.weights_diverged = true;
+/// The adaptive micro-batch window: drain every already-queued job that
+/// may join `group`, and keep the window open up to `window` for
+/// stragglers. The first job that may not join closes the group
+/// (preserving per-session order) and is returned, to run next.
+fn gather(
+    rx: &mpsc::Receiver<Job>,
+    slots: &[ShardSlot],
+    books: &ShardBooks,
+    window: Duration,
+    group: &mut Vec<Pending<Command>>,
+) -> Option<Job> {
+    let deadline = Instant::now() + window;
+    let mut waited = Duration::ZERO;
+    let carried = loop {
+        if group.len() >= MAX_COALESCE_LANES {
+            break None;
+        }
+        let next = match rx.try_recv() {
+            Ok(j) => j,
+            Err(mpsc::TryRecvError::Disconnected) => break None,
+            Err(mpsc::TryRecvError::Empty) => {
+                let now = Instant::now();
+                if now >= deadline {
+                    break None;
+                }
+                let got = rx.recv_timeout(deadline - now);
+                waited += now.elapsed();
+                match got {
+                    Ok(j) => j,
+                    Err(_) => break None, // window expired
+                }
             }
-            let line = answer(&mut slot.session, &p.cmd);
-            stats.served += 1;
-            observe_query(stats, &slot.session.last_query());
-            line
+        };
+        match next {
+            Job::Run(p) if coalescible_with(slots, &group[0], &p) => group.push(p),
+            other => break Some(other),
         }
-        None => format!("err kb {} is not on shard {shard}", p.kb),
     };
-    let _ = p.reply.send(Reply::Answer(p.seq, line));
+    books.window_wait_us.add(waited.as_micros() as u64);
+    carried
 }
 
-/// Answer a coalesced group (width ≥ 2) on the leader's session, fanning
-/// the seq-tagged per-lane responses back to each member's own client.
-/// `Query` groups run as one [`kb::KbSession::query_batch`] lane sweep —
-/// per-lane errors stay per-lane, so a poisoned member cannot touch its
-/// neighbors' answers. `Marginal` groups share the leader session's
-/// marginals table: the first call pays the sweep, the rest answer from
-/// the memo (bit-identical either way — the table does not depend on
-/// which replica computes it).
-fn answer_group(
-    slots: &mut [ShardSlot],
-    stats: &mut ShardStats,
-    shard: usize,
-    group: Vec<Pending>,
-) {
-    for p in &group {
-        stats.queue_wait += p.submitted.elapsed();
-    }
-    let leader_kb = group[0].kb;
-    let Some(slot) = slots.iter_mut().find(|t| t.id == leader_kb) else {
-        for p in group {
-            let _ = p.reply.send(Reply::Answer(
-                p.seq,
-                format!("err kb {} is not on shard {shard}", p.kb),
-            ));
-        }
-        return;
-    };
-    stats.coalesced += (group.len() - 1) as u64;
-    if matches!(group[0].cmd, Command::Query(_)) {
+/// Answer a group of `Run` jobs on the leader's session, fanning the
+/// seq-tagged responses back to each member's own client. A group of one
+/// is the scalar path. A wider `Query` group runs as one
+/// [`kb::KbSession::query_batch`] lane sweep — per-lane errors stay
+/// per-lane, so a poisoned member cannot touch its neighbors' answers. A
+/// `Marginal` group shares the leader session's marginals table: the first
+/// call pays the sweep, the rest answer from the memo (bit-identical
+/// either way — the table does not depend on which replica computes it).
+fn answer_group(slots: &mut [ShardSlot], books: &ShardBooks, group: Vec<Pending<Command>>) {
+    let now = Instant::now();
+    let waited: Duration = group.iter().map(|p| now - p.submitted).sum();
+    books.queue_wait_us.add(waited.as_micros() as u64);
+    let slot = slot_of(slots, group[0].kb);
+    books.requests.add(group.len() as u64);
+    books.coalesced.add(group.len() as u64 - 1);
+    if group.len() > 1 && matches!(group[0].cmd, Command::Query(_)) {
         let queries: Vec<Vec<Lit>> = group
             .iter()
             .map(|p| match &p.cmd {
@@ -561,21 +625,14 @@ fn answer_group(
             })
             .collect();
         let answers = slot.session.query_batch(&queries);
-        stats.served += group.len() as u64;
-        observe_query(stats, &slot.session.last_query());
         for (p, r) in group.into_iter().zip(answers) {
-            let line = match r {
-                Ok(v) => format!("ok {v}"),
-                Err(e) => format!("err {e}"),
-            };
-            let _ = p.reply.send(Reply::Answer(p.seq, line));
+            p.answer(or_err(r));
         }
     } else {
         for p in group {
+            slot.weights_diverged |= matches!(p.cmd, Command::SetProbability(..));
             let line = answer(&mut slot.session, &p.cmd);
-            stats.served += 1;
-            observe_query(stats, &slot.session.last_query());
-            let _ = p.reply.send(Reply::Answer(p.seq, line));
+            p.answer(line);
         }
     }
 }
@@ -586,7 +643,7 @@ fn answer_group(
 /// concurrent conversation.
 pub struct KbServer {
     client: ClientHandle,
-    handles: Vec<JoinHandle<ShardStats>>,
+    handles: Vec<JoinHandle<()>>,
 }
 
 impl KbServer {
@@ -642,15 +699,8 @@ impl KbServer {
                     }
                 })
                 .collect();
+            let books = ShardBooks::new(&registry, shard, slots.len());
             handles.push(std::thread::spawn(move || {
-                let shard_label = shard.to_string();
-                let depth_hist =
-                    registry.histogram("serve_batch_depth", &[("shard", &shard_label)]);
-                let mut stats = ShardStats {
-                    shard,
-                    kbs: slots.len(),
-                    ..ShardStats::default()
-                };
                 // A job the coalescer dequeued but could not group — it is
                 // already off the queue, so it runs on the next iteration
                 // (possibly leading a group of its own).
@@ -664,132 +714,33 @@ impl KbServer {
                         },
                     };
                     match job {
-                        Job::Run {
-                            seq,
-                            kb,
-                            cmd,
-                            submitted,
-                            reply,
-                        } if window > Duration::ZERO
-                            && matches!(cmd, Command::Query(_) | Command::Marginal(_)) =>
-                        {
-                            // The adaptive micro-batch window: drain every
-                            // already-queued compatible job, and keep the
-                            // window open up to `window` for stragglers.
-                            // The first incompatible job closes the group
-                            // (preserving per-session order) and is carried
-                            // into the next iteration.
-                            let mut group = vec![Pending {
-                                seq,
-                                kb,
-                                cmd,
-                                submitted,
-                                reply,
-                            }];
-                            let deadline = Instant::now() + window;
-                            while group.len() < MAX_COALESCE_LANES {
-                                let next = match rx.try_recv() {
-                                    Ok(j) => j,
-                                    Err(mpsc::TryRecvError::Disconnected) => break,
-                                    Err(mpsc::TryRecvError::Empty) => {
-                                        let now = Instant::now();
-                                        if now >= deadline {
-                                            break;
-                                        }
-                                        let waited = Instant::now();
-                                        let got = rx.recv_timeout(deadline - now);
-                                        stats.window_wait += waited.elapsed();
-                                        match got {
-                                            Ok(j) => j,
-                                            Err(_) => break, // window expired
-                                        }
-                                    }
-                                };
-                                match next {
-                                    Job::Run {
-                                        seq,
-                                        kb,
-                                        cmd,
-                                        submitted,
-                                        reply,
-                                    } if coalescible_with(&slots, &group[0], kb, &cmd) => {
-                                        group.push(Pending {
-                                            seq,
-                                            kb,
-                                            cmd,
-                                            submitted,
-                                            reply,
-                                        });
-                                    }
-                                    other => {
-                                        carried = Some(other);
-                                        break;
-                                    }
-                                }
+                        Job::Run(first) => {
+                            let coalesce = window > Duration::ZERO
+                                && matches!(first.cmd, Command::Query(_) | Command::Marginal(_));
+                            let mut group = vec![first];
+                            if coalesce {
+                                carried = gather(&rx, &slots, &books, window, &mut group);
+                                books.batch_depth.record(group.len() as u64);
                             }
-                            depth_hist.record(group.len() as u64);
-                            if group.len() == 1 {
-                                let p = group.pop().expect("one member");
-                                run_single(&mut slots, &mut stats, shard, p);
-                            } else {
-                                answer_group(&mut slots, &mut stats, shard, group);
-                            }
+                            answer_group(&mut slots, &books, group);
                         }
-                        Job::Run {
-                            seq,
-                            kb,
-                            cmd,
-                            submitted,
-                            reply,
-                        } => {
-                            run_single(
-                                &mut slots,
-                                &mut stats,
-                                shard,
-                                Pending {
-                                    seq,
-                                    kb,
-                                    cmd,
-                                    submitted,
-                                    reply,
-                                },
-                            );
+                        Job::RunBatch(p) => {
+                            books
+                                .queue_wait_us
+                                .add(p.submitted.elapsed().as_micros() as u64);
+                            let slot = slot_of(&mut slots, p.kb);
+                            let setp = |c: &Command| matches!(c, Command::SetProbability(..));
+                            slot.weights_diverged |= p.cmd.iter().any(setp);
+                            books.requests.inc();
+                            let line = answer_batch(&mut slot.session, &p.cmd);
+                            p.answer(line);
                         }
-                        Job::RunBatch {
-                            seq,
-                            kb,
-                            cmds,
-                            submitted,
-                            reply,
-                        } => {
-                            stats.queue_wait += submitted.elapsed();
-                            let line = match slots.iter_mut().find(|t| t.id == kb) {
-                                Some(slot) => {
-                                    if cmds
-                                        .iter()
-                                        .any(|c| matches!(c, Command::SetProbability(..)))
-                                    {
-                                        slot.weights_diverged = true;
-                                    }
-                                    stats.served += 1;
-                                    answer_batch(&mut slot.session, &cmds, |q| {
-                                        stats.busy += q.duration;
-                                        stats.eval_lookups += q.eval.lookups;
-                                        stats.eval_hits += q.eval.hits;
-                                        stats.eval_recomputed += q.eval.recomputed;
-                                    })
-                                }
-                                None => format!("err kb {kb} is not on shard {shard}"),
-                            };
-                            let _ = reply.send(Reply::Answer(seq, line));
-                        }
-                        Job::Stats { reply } => {
-                            let _ = reply.send(stats.clone());
+                        Job::Barrier(done) => {
+                            let _ = done.send(());
                         }
                         Job::Shutdown => break,
                     }
                 }
-                stats
             }));
             txs.push(tx);
         }
@@ -838,13 +789,11 @@ impl KbServer {
             let _ = tx.send(Job::Shutdown);
         }
         self.client.txs.clear();
-        let mut stats: Vec<ShardStats> = self
-            .handles
-            .drain(..)
-            .map(|h| h.join().expect("shard worker panicked"))
-            .collect();
-        stats.sort_by_key(|s| s.shard);
-        stats
+        for h in self.handles.drain(..) {
+            h.join().expect("shard worker panicked");
+        }
+        // No worker is left to pass a barrier to: read the books as left.
+        self.client.shard_stats()
     }
 }
 
@@ -902,13 +851,7 @@ impl ClientHandle {
     /// handle). The call only enqueues — collect the answer with
     /// [`ClientHandle::recv`] or [`ClientHandle::sync`].
     pub fn submit(&mut self, kb: usize, cmd: Command) -> Result<u64, String> {
-        self.enqueue(kb, |seq, reply| Job::Run {
-            seq,
-            kb,
-            cmd,
-            submitted: Instant::now(),
-            reply,
-        })
+        self.enqueue(kb, cmd, Job::Run)
     }
 
     /// Submit a `batch` request: every sub-command runs on the one session
@@ -916,34 +859,45 @@ impl ClientHandle {
     /// seq-tagged response. All-`query` batches run as a single
     /// lane-parallel sweep ([`kb::KbSession::query_batch`]).
     pub fn submit_batch(&mut self, kb: usize, cmds: Vec<Command>) -> Result<u64, String> {
-        self.enqueue(kb, |seq, reply| Job::RunBatch {
-            seq,
-            kb,
-            cmds,
-            submitted: Instant::now(),
-            reply,
-        })
+        self.enqueue(kb, cmds, Job::RunBatch)
     }
 
     /// Route a job for base `kb` to its shard under the next seq.
-    fn enqueue(
-        &mut self,
-        kb: usize,
-        job: impl FnOnce(u64, mpsc::Sender<Reply>) -> Job,
-    ) -> Result<u64, String> {
+    fn enqueue<C>(&mut self, kb: usize, cmd: C, job: fn(Pending<C>) -> Job) -> Result<u64, String> {
         let &shard = self
             .route
             .get(kb)
             .ok_or_else(|| format!("kb {kb} not loaded ({} available)", self.route.len()))?;
-        let seq = self.next_seq;
+        let pending = Pending {
+            seq: self.next_seq,
+            kb,
+            cmd,
+            submitted: Instant::now(),
+            reply: self.reply_tx.clone(),
+        };
         self.txs[shard]
-            .send(job(seq, self.reply_tx.clone()))
+            .send(job(pending))
             .map_err(|_| format!("shard {shard} is gone"))?;
         // Only a delivered job takes a seq: every seq below `next_seq`
         // gets exactly one answer, which is what a barrier counts on.
+        Ok(self.take_seq())
+    }
+
+    /// Answer a request that reached no shard — its line did not parse,
+    /// or [`submit`](Self::submit) refused it — with `err <why>` under the
+    /// next seq, queued on this handle's own reply channel. Returns the
+    /// seq, so every request line a front-end reads takes one.
+    pub fn reject(&mut self, why: impl fmt::Display) -> u64 {
+        let _ = self
+            .reply_tx
+            .send(Reply::Answer(self.next_seq, format!("err {why}")));
+        self.take_seq()
+    }
+
+    fn take_seq(&mut self) -> u64 {
         self.next_seq += 1;
         self.outstanding += 1;
-        Ok(seq)
+        self.next_seq - 1
     }
 
     /// Responses not yet collected by this handle.
@@ -1000,60 +954,64 @@ impl ClientHandle {
         self.shard_stats()
     }
 
-    /// Per-shard counters without draining: each shard answers after the
-    /// jobs already in its queue, so the counters still cover every job
-    /// this handle submitted before the call — only its answers may not
-    /// have been collected yet.
+    /// Per-shard counters without draining: each shard passes a barrier
+    /// after the jobs already in its queue, and then its registry is read,
+    /// so the counters still cover every job this handle submitted before
+    /// the call — only its answers may not have been collected yet.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
+        self.shard_snapshots()
+            .iter()
+            .enumerate()
+            .map(|(shard, s)| ShardStats::from_snapshot(shard, s))
+            .collect()
+    }
+
+    /// Every shard registry's snapshot, each taken once the shard has
+    /// answered the jobs queued ahead of the call.
+    fn shard_snapshots(&self) -> Vec<MetricsSnapshot> {
         let (tx, rx) = mpsc::channel();
         let mut n = 0;
         for shard_tx in &self.txs {
-            if shard_tx.send(Job::Stats { reply: tx.clone() }).is_ok() {
+            if shard_tx.send(Job::Barrier(tx.clone())).is_ok() {
                 n += 1;
             }
         }
         drop(tx);
-        let mut stats: Vec<ShardStats> = rx.iter().take(n).collect();
-        stats.sort_by_key(|s| s.shard);
-        stats
+        rx.iter().take(n).for_each(drop);
+        self.shard_metrics.iter().map(|r| r.snapshot()).collect()
     }
 
     /// Render the pool-wide metrics view in Prometheus text format.
     ///
-    /// Merges every shard registry (per-query families recorded by the
-    /// sessions, including the `serve_batch_depth` histogram the
-    /// coalescer records), grafts the `serve_*` families from the shard
-    /// counters — one sample per shard plus a `shard="all"` roll-up — and
-    /// prepends `extra` (typically the boot registry holding compile-time
-    /// and per-kb gauges). Drains outstanding work first so the counters
-    /// cover everything submitted so far.
+    /// Merges every shard registry — the per-query families the sessions
+    /// record and the `serve_*{shard}` families each worker records —
+    /// adds the `shard="all"` roll-up of the [`ShardStats`] view and each
+    /// shard's `serve_busy_us_total` (its sessions' summed `kb_query_us`),
+    /// and prepends `extra` (typically the boot registry holding
+    /// compile-time and per-kb gauges). Drains outstanding work first so
+    /// the counters cover everything submitted so far.
     pub fn metrics_text(&mut self, extra: Option<&MetricsSnapshot>) -> String {
-        let stats = self.stats();
+        let _ = self.sync();
         let mut snap = extra.cloned().unwrap_or_default();
-        for registry in self.shard_metrics.iter() {
-            snap.merge(&registry.snapshot());
+        let mut stats = Vec::with_capacity(self.shard_metrics.len());
+        for (shard, shard_snap) in self.shard_snapshots().iter().enumerate() {
+            snap.merge(shard_snap);
+            let view = ShardStats::from_snapshot(shard, shard_snap);
+            let label = shard.to_string();
+            let busy_us = view.busy.as_micros() as u64;
+            snap.set_counter("serve_busy_us_total", &[("shard", &label)], busy_us);
+            stats.push(view);
         }
-        let mut rows: Vec<(String, &ShardStats)> =
-            stats.iter().map(|s| (s.shard.to_string(), s)).collect();
-        let merged = ShardStats::merged(&stats);
-        rows.push(("all".to_string(), &merged));
-        for (shard, s) in &rows {
-            let label = [("shard", shard.as_str())];
-            snap.set_counter("serve_requests_total", &label, s.served);
-            snap.set_counter("serve_busy_us_total", &label, s.busy.as_micros() as u64);
-            snap.set_counter(
-                "serve_queue_wait_us_total",
-                &label,
-                s.queue_wait.as_micros() as u64,
-            );
-            snap.set_counter("serve_coalesced_total", &label, s.coalesced);
-            snap.set_counter(
-                "serve_window_wait_us_total",
-                &label,
-                s.window_wait.as_micros() as u64,
-            );
-            snap.set_gauge("serve_kbs", &label, s.kbs as f64);
-        }
+        let all = ShardStats::merged(&stats);
+        let label = [("shard", "all")];
+        snap.set_counter("serve_requests_total", &label, all.served);
+        snap.set_counter("serve_busy_us_total", &label, all.busy.as_micros() as u64);
+        let queue_us = all.queue_wait.as_micros() as u64;
+        snap.set_counter("serve_queue_wait_us_total", &label, queue_us);
+        snap.set_counter("serve_coalesced_total", &label, all.coalesced);
+        let window_us = all.window_wait.as_micros() as u64;
+        snap.set_counter("serve_window_wait_us_total", &label, window_us);
+        snap.set_gauge("serve_kbs", &label, all.kbs as f64);
         snap.render_prometheus()
     }
 
@@ -1085,17 +1043,19 @@ fn render_model(vars: &[VarId], m: &Model) -> String {
     format!("{} {}", m.log_weight, bits)
 }
 
+/// Render one fallible answer as `ok <v>` / `err <e>`.
+fn or_err<T: fmt::Display>(r: Result<T, kb::KbError>) -> String {
+    match r {
+        Ok(v) => format!("ok {v}"),
+        Err(e) => format!("err {e}"),
+    }
+}
+
 /// Execute one command against a session and render the response line
 /// (`ok …` / `err …`). Floats use Rust's shortest-round-trip `Display`,
 /// so parsing the answer back recovers the exact bits the engine computed
 /// — the cross-check in `tests/` relies on that.
 pub fn answer(s: &mut KbSession, cmd: &Command) -> String {
-    fn or_err<T: std::fmt::Display>(r: Result<T, kb::KbError>) -> String {
-        match r {
-            Ok(v) => format!("ok {v}"),
-            Err(e) => format!("err {e}"),
-        }
-    }
     match cmd {
         Command::Marginal(v) => or_err(s.marginal(*v)),
         Command::AllMarginals => match s.all_marginals() {
@@ -1150,13 +1110,9 @@ pub fn answer(s: &mut KbSession, cmd: &Command) -> String {
 /// order). When **every** sub-command is a `query`, the batch runs as one
 /// lane-parallel [`kb::KbSession::query_batch`] sweep — bit-identical to
 /// the sequential loop, so the wire answer does not depend on which path
-/// ran. `observe` fires once per underlying session call with its
-/// [`kb::KbQueryStats`], so shard counters aggregate the true cost.
-pub fn answer_batch(
-    s: &mut KbSession,
-    cmds: &[Command],
-    mut observe: impl FnMut(&kb::KbQueryStats),
-) -> String {
+/// ran. The sessions record each call's cost in the shard's registry,
+/// which is where [`ShardStats`] reads it.
+pub fn answer_batch(s: &mut KbSession, cmds: &[Command]) -> String {
     let all_queries: Option<Vec<Vec<Lit>>> = cmds
         .iter()
         .map(|c| match c {
@@ -1165,25 +1121,8 @@ pub fn answer_batch(
         })
         .collect();
     let subs: Vec<String> = match all_queries {
-        Some(queries) => {
-            let answers = s.query_batch(&queries);
-            observe(&s.last_query());
-            answers
-                .into_iter()
-                .map(|r| match r {
-                    Ok(p) => format!("ok {p}"),
-                    Err(e) => format!("err {e}"),
-                })
-                .collect()
-        }
-        None => cmds
-            .iter()
-            .map(|c| {
-                let line = answer(s, c);
-                observe(&s.last_query());
-                line
-            })
-            .collect(),
+        Some(queries) => s.query_batch(&queries).into_iter().map(or_err).collect(),
+        None => cmds.iter().map(|c| answer(s, c)).collect(),
     };
     let mut out = format!("ok batch {}", subs.len());
     for sub in &subs {

@@ -196,8 +196,12 @@ fn wire_protocol_round_trips_through_parse_and_answer() {
     // Evidence asserted over the wire really bites: x2 entailed after
     // `condition 2`.
     assert_eq!(responses[4].1, "ok true");
-    // Bad kb ids surface as submit errors, not worker panics.
-    assert!(client.submit(7, Command::LogWeight).is_err());
+    // Bad kb ids surface as submit errors, not worker panics; `reject`
+    // answers such a request under the next seq.
+    let err = client.submit(7, Command::LogWeight).unwrap_err();
+    let seq = script.len() as u64;
+    assert_eq!(client.reject(&err), seq);
+    assert_eq!(client.sync(), [(seq, format!("err {err}"))]);
     server.shutdown();
 }
 
@@ -486,5 +490,96 @@ fn batch_requests_answer_bit_identically_to_the_scalar_wire() {
     assert_eq!(merged.served, 4 + 2);
     assert!(merged.eval_lookups > 0);
     assert!(merged.busy > std::time::Duration::ZERO);
+    server.shutdown();
+}
+
+/// The `stats` view and the scrape are two readings of one set of books:
+/// per shard, every `serve_*` row equals its `ShardStats` field; the
+/// `shard="all"` rows equal `ShardStats::merged`; and the eval counters and
+/// busy time equal the sessions' `kb_eval_*_total` and `kb_query_us`
+/// families summed over kinds (the scrape merges those over shards).
+#[test]
+fn shard_stats_and_the_scrape_read_the_same_books() {
+    const N: u32 = 16;
+    let frozen = Arc::new(chain_kb(N).freeze());
+    let kbs: Vec<Arc<kb::FrozenKb>> = (0..4).map(|_| Arc::clone(&frozen)).collect();
+    let server = KbServer::with_batch_window(kbs, 2, Duration::from_millis(200));
+    let mut client = server.client();
+    // Scalar lines, a mixed batch and an all-query batch. The `setp` runs
+    // no sweep, so it adds nothing to the eval counters or busy time — even
+    // right after a query on the same session.
+    let script = [
+        "kb 0 count",
+        "kb 1 entails 2",
+        "kb 2 logw",
+        "kb 3 mpe",
+        "kb 3 setp 1 0.3",
+        "batch 0 logw ; condition 2 ; count ; retract",
+        "batch 1 query 1 ; query 2 -3 ; query 5",
+    ];
+    for line in script {
+        match parse_request(line).unwrap().unwrap() {
+            Request::Query { kb, cmd } => client.submit(kb, cmd),
+            Request::Batch { kb, cmds } => client.submit_batch(kb, cmds),
+            other => panic!("unexpected request {other:?}"),
+        }
+        .unwrap();
+    }
+    // Pipelined queries over the four replicas: the window coalesces them.
+    for i in 0..16u32 {
+        let q = vec![(v(i % N), i % 3 != 0)];
+        client.submit(i as usize % 4, Command::Query(q)).unwrap();
+    }
+    let answers = client.sync();
+    assert_eq!(answers.len(), script.len() + 16);
+    assert!(
+        answers.iter().all(|(_, l)| l.starts_with("ok")),
+        "{answers:?}"
+    );
+
+    let stats = client.stats();
+    let merged = serve::ShardStats::merged(&stats);
+    assert!(merged.coalesced > 0, "the window must have coalesced");
+    let text = client.metrics_text(None);
+    let row = |family: &str, shard: &str| -> f64 {
+        let key = format!("{family}{{shard=\"{shard}\"}} ");
+        let line = text.lines().find_map(|l| l.strip_prefix(&key));
+        line.unwrap_or_else(|| panic!("no {key} in\n{text}"))
+            .parse()
+            .unwrap()
+    };
+    let over_kinds = |family: &str| -> f64 {
+        let key = format!("{family}{{kind=");
+        let rows = text.lines().filter(|l| l.starts_with(&key));
+        rows.map(|l| l.rsplit(' ').next().unwrap().parse::<f64>().unwrap())
+            .sum()
+    };
+    for (s, shard) in stats
+        .iter()
+        .map(|s| (s, s.shard.to_string()))
+        .chain([(&merged, "all".to_string())])
+    {
+        assert_eq!(row("serve_requests_total", &shard), s.served as f64);
+        assert_eq!(row("serve_coalesced_total", &shard), s.coalesced as f64);
+        assert_eq!(row("serve_kbs", &shard), s.kbs as f64);
+        let us = |d: Duration| d.as_micros() as f64;
+        assert_eq!(row("serve_busy_us_total", &shard), us(s.busy));
+        assert_eq!(row("serve_queue_wait_us_total", &shard), us(s.queue_wait));
+        assert_eq!(row("serve_window_wait_us_total", &shard), us(s.window_wait));
+    }
+    assert_eq!(merged.served, script.len() as u64 + 16);
+    assert_eq!(
+        over_kinds("kb_eval_lookups_total"),
+        merged.eval_lookups as f64
+    );
+    assert_eq!(over_kinds("kb_eval_hits_total"), merged.eval_hits as f64);
+    assert_eq!(
+        over_kinds("kb_eval_recomputed_total"),
+        merged.eval_recomputed as f64
+    );
+    assert_eq!(
+        over_kinds("kb_query_us_sum"),
+        merged.busy.as_micros() as f64
+    );
     server.shutdown();
 }

@@ -1,7 +1,8 @@
 //! The `kb-server` binary end to end, over TCP and over stdin: answers are
 //! written as soon as they are ready (no follow-up line needed), `sync` is
-//! a barrier, large replies arrive whole, and an over-long line costs one
-//! typed `err`, not the connection.
+//! a barrier, large replies arrive whole, an over-long line costs one
+//! typed `err`, not the connection, and every rejected line is answered
+//! under its own seq.
 //!
 //! Every read has a deadline, so a withheld answer fails the test instead
 //! of hanging it. The deadlines are seconds: the binary under test is a
@@ -237,9 +238,32 @@ fn over_long_line_gets_a_typed_err_and_the_connection_serves_on() {
     assert_eq!(lines.next(REPLY, "a line at the cap"), "0 ok 17711");
     send(&mut conn, &padded(serve::MAX_LINE_BYTES + 1));
     let err = lines.next(REPLY, "the over-long line");
-    assert!(err.starts_with("err line too long"), "{err}");
+    assert!(err.starts_with("1 err line too long"), "{err}");
     send(&mut conn, "kb 0 count\n");
-    assert_eq!(lines.next(REPLY, "the request after it"), "1 ok 17711");
+    assert_eq!(lines.next(REPLY, "the request after it"), "2 ok 17711");
+}
+
+#[test]
+fn rejected_lines_are_answered_under_their_own_seq_in_order() {
+    let server = listen(&["chain:20"]);
+    let (mut conn, lines) = connect(&server);
+    // Pipelined, no `sync`: a line the parser rejects and a line naming an
+    // unloaded base each take the next seq, and their `err` follows every
+    // earlier answer.
+    send(
+        &mut conn,
+        "kb 0 count\nkb 0 top 65\nkb 9 count\nkb 0 count\n",
+    );
+    let got: Vec<String> = (0..4).map(|_| lines.next(REPLY, "an answer")).collect();
+    assert_eq!(
+        got,
+        [
+            "0 ok 17711",
+            "1 err top 65 exceeds the limit of 64",
+            "2 err kb 9 not loaded (1 available)",
+            "3 ok 17711",
+        ]
+    );
 }
 
 #[test]

@@ -5,9 +5,9 @@
 //! Every tier publishes into `crates/obs`: the compiler's stage timings
 //! and the paper's width parameters (tw/fw/fiw/sdw) land as histograms
 //! and gauges at boot, every `KbSession` query bumps a per-kind latency
-//! histogram and its sweep-traffic counters, and the server grafts per-shard
-//! request/busy/queue-wait counters on top — one merged scrape for the
-//! whole pool. When a slow log is attached, each query also assembles a
+//! histogram and its sweep-traffic counters, and each shard worker records
+//! its request/queue-wait/coalescing counters in the same shard registry —
+//! one merged scrape for the whole pool. When a slow log is attached, each query also assembles a
 //! trace (stage spans + counters) and the N worst are retained for
 //! post-hoc inspection, `trace <id>` on the wire.
 //!
@@ -47,8 +47,8 @@ fn main() {
     println!("served {answered} queries across 2 shards\n");
 
     // Scrape: one Prometheus text exposition for the whole pool — boot
-    // families merged with every shard registry, serve_* counters grafted
-    // per shard plus a shard="all" roll-up.
+    // families merged with every shard registry (serve_* counters per
+    // shard among them) plus a shard="all" roll-up.
     let text = client.metrics_text(Some(&boot.snapshot()));
     println!("--- metrics scrape (elided) ---");
     for line in text.lines() {
