@@ -25,11 +25,11 @@
 //! session's own evidence is local to it and [`KbSession::retract`]
 //! restores the frozen baseline, never less.
 
-use crate::ac::Ac;
 use crate::posture::{dense, Posture};
 use crate::{KbError, KbProvenance, KbQueryStats, Lit, Model, QueryKind};
 use arith::{log_sum_exp, BigUint, LaneSemiring, LogF64, MaxPlus, Nat};
 use boolfunc::Assignment;
+use sdd::ac::Ac;
 use sdd::eval::EvalCacheStats;
 use sdd::{FrozenSdd, SddId};
 use std::sync::Arc;
@@ -78,6 +78,28 @@ fn lane_columns<E: Clone, P: AsRef<[(usize, bool)]>>(
         }
     }
     cols
+}
+
+/// Does `F ∧ e ∧ ⋀ pins` have a model, under `posture`'s evidence? One
+/// `MaxPlus` sweep of `ac` over `{0, -∞}` columns — the Boolean semiring,
+/// where a smooth decomposable circuit evaluates to `0` exactly when some
+/// model survives the pins. Weights play no part. `table` is the sweep's
+/// value table (see [`Ac::eval_lanes`]).
+pub(crate) fn satisfiable(
+    ac: &Ac,
+    posture: &Posture,
+    pins: &[(usize, bool)],
+    table: &mut Vec<f64>,
+) -> bool {
+    let inf = f64::NEG_INFINITY;
+    let cols = lane_columns(
+        posture.weights.len(),
+        |i| posture.masked(i, (0.0, 0.0), &inf),
+        &inf,
+        &[pins],
+    );
+    ac.eval_lanes(&MaxPlus, 1, &cols, table);
+    table[ac.root()] != inf
 }
 
 /// The read-only serving form of a [`crate::KnowledgeBase`]: the frozen
@@ -646,7 +668,7 @@ impl KbSession {
             s.swept(1);
             let mut vals = Vec::new();
             s.kb.ac.eval_lanes(&Nat, 1, &cols, &mut vals);
-            vals.swap_remove(s.kb.ac.root as usize)
+            vals.swap_remove(s.kb.ac.root())
         })
     }
 
@@ -694,7 +716,7 @@ impl KbSession {
         self.swept(lanes);
         let _sp = obs::span("ac_sweep");
         self.kb.ac.eval_lanes(s, lanes, cols, &mut self.table);
-        let root = self.kb.ac.root as usize * lanes;
+        let root = self.kb.ac.root() * lanes;
         self.table[root..root + lanes].to_vec()
     }
 
@@ -722,19 +744,12 @@ impl KbSession {
         w
     }
 
-    /// Does `F ∧ e ∧ ⋀ pins` have a model? One `MaxPlus` sweep over
-    /// `{0, -∞}` columns — the Boolean semiring, where a smooth
-    /// decomposable circuit evaluates to `0` exactly when some model
-    /// survives the pins.
+    /// Does `F ∧ e ∧ ⋀ pins` have a model? One structural sweep
+    /// ([`satisfiable`]).
     fn satisfiable(&mut self, pins: &[(usize, bool)]) -> bool {
-        let inf = f64::NEG_INFINITY;
-        let cols = lane_columns(
-            self.kb.vars.len(),
-            |i| self.posture.masked(i, (0.0, 0.0), &inf),
-            &inf,
-            &[pins],
-        );
-        self.sweep_roots(&MaxPlus, 1, &cols)[0] != inf
+        self.swept(1);
+        let _sp = obs::span("ac_sweep");
+        satisfiable(&self.kb.ac, &self.posture, pins, &mut self.table)
     }
 
     /// `P(⋀ pins_l | F ∧ e)` per lane, in sweeps of at most

@@ -7,10 +7,11 @@
 //! without ever recompiling. There is exactly one query path:
 //!
 //! 1. [`KnowledgeBase`] is the **builder**: it adopts a compilation (or
-//!    compiles one), takes literal weights and optional evidence to bake
-//!    in, and runs no query of its own.
-//! 2. [`KnowledgeBase::freeze`] unfolds the arithmetic circuit and moves
-//!    the SDD into an immutable, `Send + Sync` [`FrozenKb`] slab.
+//!    compiles one), unfolds its arithmetic circuit ([`sdd::ac::Ac`])
+//!    once, takes literal weights and optional evidence to bake in, and
+//!    runs no query of its own.
+//! 2. [`KnowledgeBase::freeze`] moves the SDD and the circuit into an
+//!    immutable, `Send + Sync` [`FrozenKb`] slab.
 //! 3. [`FrozenKb::session`] opens a [`KbSession`] per serving thread,
 //!    which answers every query:
 //!    * [`KbSession::condition`] / [`KbSession::retract`] — evidence,
@@ -70,19 +71,17 @@
 //! assert!((m - 1.0).abs() < 1e-12, "x2 is forced by x2's clause");
 //! ```
 
-mod ac;
 mod frozen;
 mod posture;
 mod snapshot;
 
 pub use frozen::{FrozenKb, KbSession};
 
-use crate::ac::Ac;
 use crate::posture::{dense, Posture};
-use arith::LogF64;
 use boolfunc::Assignment;
 use circuit::Circuit;
 use cnf::CnfFormula;
+use sdd::ac::Ac;
 use sdd::eval::EvalCacheStats;
 use sdd::{SddId, SddManager};
 use sentential_core::compiler::Compilation;
@@ -313,10 +312,14 @@ impl QueryKind {
 /// and the MPE an arbitrary model — and become probabilistic through
 /// [`KnowledgeBase::set_probability`] / [`KnowledgeBase::set_weights`].
 /// The builder answers no queries: [`KnowledgeBase::freeze`] it and open
-/// [`FrozenKb::session`]s.
+/// [`FrozenKb::session`]s. It unfolds the root's arithmetic circuit once,
+/// when it is constructed: its own consistency check sweeps that circuit,
+/// and the frozen base serves it.
 pub struct KnowledgeBase {
     mgr: SddManager,
     root: SddId,
+    /// The unfolded circuit of `root`, moved into the frozen base.
+    ac: Ac,
     vars: Vec<VarId>,
     var_index: FxHashMap<VarId, usize>,
     /// The weights and evidence to freeze in.
@@ -335,8 +338,8 @@ impl fmt::Debug for KnowledgeBase {
 }
 
 impl KnowledgeBase {
-    /// Adopt a compiled SDD. Weights start at `(1, 1)` (counting
-    /// semantics).
+    /// Adopt a compiled SDD and unfold its circuit. Weights start at
+    /// `(1, 1)` (counting semantics).
     pub fn new(mgr: SddManager, root: SddId) -> Self {
         let vars: Vec<VarId> = mgr.vtree().vars().to_vec();
         let var_index = vars
@@ -345,6 +348,7 @@ impl KnowledgeBase {
             .map(|(i, &v)| (v, i))
             .collect::<FxHashMap<_, _>>();
         KnowledgeBase {
+            ac: Ac::build(&mgr, root),
             mgr,
             root,
             posture: Posture::new(vars.len()),
@@ -439,7 +443,8 @@ impl KnowledgeBase {
     /// `v := b` in every session opened on the frozen base (a session's
     /// `retract` returns to this evidence, never below it). Nothing is
     /// restricted — the pins only enter the weight tables — but the call
-    /// still checks that `F ∧ e` has a model, by one structural sweep.
+    /// still checks that `F ∧ e` has a model, by the sessions' structural
+    /// sweep of the unfolded circuit.
     /// Evidence accumulates across calls; asserting both polarities of a
     /// variable makes the base inconsistent. Either way an inconsistent
     /// base is reported as [`KbError::Inconsistent`], with the evidence
@@ -448,21 +453,10 @@ impl KnowledgeBase {
         for (&lit, (i, _)) in lits.iter().zip(dense(&self.var_index, lits)?) {
             self.posture.assert(i, lit);
         }
-        // Structural weights: `(1, 1)` masked by the pins, so the root is
-        // `-∞` exactly when `F ∧ e` has no model.
-        let (index, posture) = (&self.var_index, &self.posture);
-        let root = self.mgr.evaluate(self.root, &LogF64, |v, pos| {
-            let (sn, sp) = posture.masked(index[&v], (0.0, 0.0), &f64::NEG_INFINITY);
-            if pos {
-                sp
-            } else {
-                sn
-            }
-        });
-        if root == f64::NEG_INFINITY {
-            Err(KbError::Inconsistent)
-        } else {
+        if frozen::satisfiable(&self.ac, &self.posture, &[], &mut Vec::new()) {
             Ok(())
+        } else {
+            Err(KbError::Inconsistent)
         }
     }
 
@@ -471,20 +465,18 @@ impl KnowledgeBase {
         &self.posture.evidence
     }
 
-    /// Freeze this builder into its immutable serving form: the arithmetic
-    /// circuit is unfolded so every session gets the two-pass queries
-    /// without a build step, then the manager's slabs move into the
-    /// [`sdd::FrozenSdd`] without copying. Current weights and evidence
-    /// are frozen in — sessions start from this exact state.
+    /// Freeze this builder into its immutable serving form: the circuit
+    /// unfolded at construction and the manager's slabs move into the
+    /// [`FrozenKb`] without copying or unfolding again. Current weights
+    /// and evidence are frozen in — sessions start from this exact state.
     pub fn freeze(self) -> FrozenKb {
-        let ac = Ac::build(&self.mgr, self.root);
         FrozenKb {
             sdd: Arc::new(self.mgr.freeze()),
             root: self.root,
             vars: self.vars,
             var_index: self.var_index,
             posture: self.posture,
-            ac,
+            ac: self.ac,
             provenance: self.provenance,
         }
     }

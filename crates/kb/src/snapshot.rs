@@ -3,7 +3,8 @@
 //!
 //! A KB snapshot is a `KIND_KB` container holding the SDD store's three
 //! sections (tags 1–3, written by [`sdd::FrozenSdd::write_sections`])
-//! followed by eight KB sections:
+//! followed by four KB sections and the unfolded circuit's four (tags
+//! 21–24, written by [`sdd::ac::Ac::write_sections`]):
 //!
 //! | tag | section  | payload |
 //! |-----|----------|---------|
@@ -11,10 +12,7 @@
 //! | 17  | vars     | the served [`VarId`]s, defining the dense index |
 //! | 18  | weights  | per var in order: `(w⁻, w⁺)` as raw `f64::to_bits` — loads bit-identically |
 //! | 19  | evidence | frozen `(var, polarity)` literals, in assertion order |
-//! | 21  | acmeta   | AC root, then per var the shared `(¬v, v)` leaf ids |
-//! | 22  | ackinds  | one kind byte per AC gate |
-//! | 23  | acgmeta  | per gate: leaf `(var, positive)` or child range `(start, end)` |
-//! | 24  | acchild  | the flat AC child array |
+//! | 21–24 | ac     | the circuit (see [`sdd::snapshot`]) |
 //!
 //! Tags 4 (the SDD manager's negation memo) and 20 (the evidence pin
 //! table) are retired: files from earlier writers carry them, and the
@@ -35,9 +33,10 @@
 //! ranges and leaves matching the dense variable index. Anything else is a
 //! typed [`snap::SnapError`].
 
-use crate::ac::{Ac, AcId, K_ADD, K_LEAF, K_MUL, K_ZERO};
 use crate::posture::Posture;
 use crate::{FrozenKb, KbProvenance};
+use sdd::ac::Ac;
+use sdd::snapshot::{AC_SECTIONS, SDD_SECTIONS};
 use sdd::{FrozenSdd, SddId};
 use snap::{
     bytes_to_u32_pairs, bytes_to_u32s, bytes_to_u64_pairs, put_u32, put_u64, Dec, Reader,
@@ -56,17 +55,9 @@ pub const TAG_VARS: u32 = 17;
 pub const TAG_WEIGHTS: u32 = 18;
 /// Section tag: the frozen evidence.
 pub const TAG_EVIDENCE: u32 = 19;
-/// Section tag: AC root and literal-leaf ids.
-pub const TAG_ACMETA: u32 = 21;
-/// Section tag: AC gate kinds.
-pub const TAG_ACKINDS: u32 = 22;
-/// Section tag: AC gate metadata.
-pub const TAG_ACGMETA: u32 = 23;
-/// Section tag: the flat AC child array.
-pub const TAG_ACCHILD: u32 = 24;
-
-/// Sections in a KB container: the embedded slab's plus the KB's own.
-pub const KB_SECTIONS: u32 = sdd::snapshot::SDD_SECTIONS + 8;
+/// Sections in a KB container: the embedded slab's, the KB's own four and
+/// the circuit's.
+pub const KB_SECTIONS: u32 = SDD_SECTIONS + 4 + AC_SECTIONS;
 
 impl FrozenKb {
     /// Persist this base as a `KIND_KB` container.
@@ -99,26 +90,7 @@ impl FrozenKb {
         }
         w.section(TAG_EVIDENCE, &buf)?;
 
-        let mut buf = Vec::with_capacity(4 + self.ac.leaves.len() * 8);
-        put_u32(&mut buf, self.ac.root);
-        for &(n, p) in &self.ac.leaves {
-            put_u32(&mut buf, n);
-            put_u32(&mut buf, p);
-        }
-        w.section(TAG_ACMETA, &buf)?;
-        w.section(TAG_ACKINDS, &self.ac.kinds)?;
-        let mut buf = Vec::with_capacity(self.ac.meta.len() * 8);
-        for &(a, b) in &self.ac.meta {
-            put_u32(&mut buf, a);
-            put_u32(&mut buf, b);
-        }
-        w.section(TAG_ACGMETA, &buf)?;
-        let mut buf = Vec::with_capacity(self.ac.children.len() * 4);
-        for &c in &self.ac.children {
-            put_u32(&mut buf, c);
-        }
-        w.section(TAG_ACCHILD, &buf)?;
-
+        self.ac.write_sections(&mut w)?;
         w.finish()?;
         Ok(())
     }
@@ -192,7 +164,7 @@ impl FrozenKb {
             }
         }
 
-        let ac = read_ac(&mut r, vars.len())?;
+        let ac = Ac::read_sections(&mut r, vars.len())?;
 
         Ok(FrozenKb {
             sdd: Arc::new(sdd),
@@ -204,90 +176,4 @@ impl FrozenKb {
             provenance: KbProvenance::Raw,
         })
     }
-}
-
-/// Read and validate the four AC sections into a circuit over `num_vars`
-/// dense variables.
-fn read_ac(r: &mut Reader, num_vars: usize) -> Result<Ac, SnapError> {
-    let meta = r.take(TAG_ACMETA)?;
-    let mut d = Dec::new(&meta, "acmeta section");
-    let root = d.u32()?;
-    let leaves: Vec<(AcId, AcId)> = bytes_to_u32s(d.rest(), "acmeta section ragged")?
-        .chunks_exact(2)
-        .map(|c| (c[0], c[1]))
-        .collect();
-    if leaves.len() != num_vars {
-        return Err(SnapError::Invalid {
-            what: "ac leaf table length disagrees with the variable list",
-        });
-    }
-
-    let kinds = r.take(TAG_ACKINDS)?;
-    let gmeta = bytes_to_u32_pairs(&r.take(TAG_ACGMETA)?, "ac meta section ragged")?;
-    let children = bytes_to_u32s(&r.take(TAG_ACCHILD)?, "ac child section ragged")?;
-    if gmeta.len() != kinds.len() {
-        return Err(SnapError::Invalid {
-            what: "ac gate arrays disagree in length",
-        });
-    }
-    if root as usize >= kinds.len() {
-        return Err(SnapError::Invalid {
-            what: "ac root out of bounds",
-        });
-    }
-    for (id, (&kind, &(a, b))) in kinds.iter().zip(gmeta.iter()).enumerate() {
-        match kind {
-            K_ZERO => {}
-            K_LEAF => {
-                if a as usize >= num_vars || b > 1 {
-                    return Err(SnapError::Invalid {
-                        what: "ac leaf gate out of bounds",
-                    });
-                }
-            }
-            K_ADD | K_MUL => {
-                if a > b || b as usize > children.len() {
-                    return Err(SnapError::Invalid {
-                        what: "ac child range out of bounds",
-                    });
-                }
-                // Topological order: children strictly below their gate —
-                // the sweeps index forward/backward on that guarantee.
-                if children[a as usize..b as usize]
-                    .iter()
-                    .any(|&c| c as usize >= id)
-                {
-                    return Err(SnapError::Invalid {
-                        what: "ac child not below its gate",
-                    });
-                }
-            }
-            _ => {
-                return Err(SnapError::Invalid {
-                    what: "unknown ac gate kind",
-                })
-            }
-        }
-    }
-    // The shared leaf pairs must be the dense variable index's own gates —
-    // marginals multiply dr[leaf] by the variable's weight on that basis.
-    for (i, &(n, p)) in leaves.iter().enumerate() {
-        let ok = |id: AcId, positive: u32| {
-            (id as usize) < kinds.len()
-                && kinds[id as usize] == K_LEAF
-                && gmeta[id as usize] == (i as u32, positive)
-        };
-        if !ok(n, 0) || !ok(p, 1) {
-            return Err(SnapError::Invalid {
-                what: "ac leaf table does not match its gates",
-            });
-        }
-    }
-    Ok(Ac {
-        kinds,
-        meta: gmeta,
-        children,
-        root,
-        leaves,
-    })
 }

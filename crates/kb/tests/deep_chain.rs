@@ -505,6 +505,18 @@ fn sixteen_lane_batch_over_the_hundred_thousand_variable_kb() {
     }
 }
 
+/// The one-shot exact count at depth: `count_models_exact` unfolds the
+/// compiled root and sweeps it once in `Nat`, on the default test thread,
+/// and must reproduce the closed-form chain count (about 13,900 bits).
+#[test]
+fn twenty_thousand_variable_exact_count_on_a_default_stack() {
+    let n = 20_000;
+    let c = serving_compiler()
+        .compile_cnf(&families::chain_cnf(n))
+        .expect("compile");
+    assert_eq!(c.sdd.count_models_exact(c.root), families::chain_count(n));
+}
+
 /// `ln` of a positive rational at any size: split numerator and
 /// denominator into `mantissa · 2^shift` (the `to_f64` route overflows
 /// past ~2^1024).

@@ -1,47 +1,34 @@
-//! The smoothed arithmetic circuit every knowledge-base query sweeps.
+//! The smoothed arithmetic circuit: the one evaluator of a compiled SDD.
 //!
-//! The semiring engine (`sdd::eval`) walks the SDD *implicitly*, recomputing
-//! smoothing products from vtree paths on every visit. Marginals and MPE
-//! witnesses need more than a single bottom-up value: they need the
-//! **derivative** of the weighted count with respect to every literal
-//! weight (Darwiche's differential approach to inference), which requires a
-//! downward pass over an *explicit* computation graph. [`Ac`] is that
-//! graph: the SDD unfolded — once, when the base is frozen — into a plain
-//! DAG of `⊕`/`⊗` nodes with one shared leaf per literal and shared
-//! smoothing subcircuits per vtree node, stored in topological order so
-//! the upward pass is a forward sweep and the downward pass a reverse
-//! sweep.
+//! An SDD is deterministic and decomposable, so once it is **smoothed**
+//! every counting query is one bottom-up pass over a commutative semiring
+//! (Darwiche's arithmetic-circuit view). [`Ac::build`] makes that circuit
+//! explicit: it unfolds the SDD once into a DAG of `⊕`/`⊗` gates with one
+//! shared leaf per literal and one shared, division-free smoothing
+//! subcircuit `⊗ (w⁻ ⊕ w⁺)` per vtree node, stored in topological order —
+//! the upward pass is a forward sweep, the downward pass (the derivative
+//! of the count with respect to every literal weight) a reverse one.
 //!
 //! The graph is stored **CSR-style** — parallel `kinds`/`meta` arrays plus
 //! one flat `children` array that per-gate `(start, end)` ranges tile — so
-//! a circuit is four contiguous buffers with no per-gate allocation. That
-//! is both the fast layout for the sweeps (no pointer chasing) and the
-//! serialization layout: a snapshot writes the buffers as raw sections and
-//! a load reads them straight back.
+//! a circuit is four contiguous buffers with no per-gate allocation: the
+//! fast layout for the sweeps and the snapshot layout alike.
 //!
-//! The sweeps run over lane columns ([`LaneSemiring`]): a batch of weight
-//! rows is evaluated per gate visit, and a single query is the one-lane
-//! case of the same code. Every query of a `crate::KbSession` is one of:
+//! [`Ac::eval_lanes`] is the workspace's **one upward sweep**, over lane
+//! columns ([`LaneSemiring`]); a single evaluation is its one-lane case.
+//! The one-shot `evaluate` family of [`FrozenSdd`] ([`crate::eval`]) is an
+//! unfold plus one sweep, and every `kb::KbSession` query is a sweep of the
+//! base's circuit, or one of its two-pass forms [`Ac::marginals_lanes`]
+//! and [`Ac::mpe_lanes`]; [`Ac::top_k`] walks the same gate order.
 //!
-//! * [`Ac::eval_lanes`] in `LogF64` (weighted counts), `MaxPlus` over
-//!   `{0, -∞}` weights (satisfiability — decomposability makes it one
-//!   bottom-up sweep) or `Nat` (exact model counts);
-//! * [`Ac::marginals_lanes`]: the upward sweep plus [`Ac::backprop_lanes`]
-//!   in `LogF64` → every variable's unnormalized marginal pair;
-//! * [`Ac::mpe_lanes`]: the upward sweep in `MaxPlus` plus an argmax
-//!   descent → the most probable explanation *with* its witness;
-//! * [`Ac::top_k`] — the same sweep over lists of partial models → the `k`
-//!   heaviest models, each materialized as a complete assignment.
-//!
-//! Everything here honors the workspace's **iterative-engine invariant**:
-//! the unfold walks decisions in interning order (children before parents
-//! — ascending [`SddId`] is topological), the up/down passes are indexed
-//! sweeps over the stored topological order, and the MPE/top-k decoders
-//! walk with explicit stacks — no pass recurses on input-sized structure,
-//! so 100k-variable circuits sweep on a default-size thread stack.
+//! No pass recurses on input-sized structure (the workspace's
+//! **iterative-engine invariant**): the unfold walks decisions in
+//! interning order (ascending [`SddId`] is topological), the sweeps are
+//! indexed, and the MPE/top-k decoders walk with explicit stacks, so
+//! 100k-variable circuits sweep on a default-size thread stack.
 
+use crate::{FrozenSdd, SddId, SddNode};
 use arith::{LaneSemiring, MaxPlus};
-use sdd::{SddId, SddManager, SddNode};
 use vtree::fxhash::FxHashMap;
 use vtree::{VarId, VtreeNodeId};
 
@@ -61,13 +48,15 @@ pub(crate) const K_MUL: u8 = 3;
 ///
 /// Gate ids are a topological order (children strictly below parents), so
 /// evaluation is a single indexed sweep in either direction. Gate `0` is
-/// the shared constant-zero gate.
+/// the shared constant-zero gate. Variables are dense: variable `i` is the
+/// `i`-th of the vtree's [`vtree::Vtree::vars`], and every weight table
+/// the sweeps take is laid out in that order.
 ///
-/// The circuit is plain owned data with no back-reference into the manager
-/// it was unfolded from (gate ids are its own dense ids), so a
-/// [`crate::FrozenKb`] carries it into the `Send + Sync` serving tier
-/// unchanged, and a snapshot persists the four buffers verbatim.
-pub(crate) struct Ac {
+/// The circuit is plain owned data with no back-reference into the store
+/// it was unfolded from (gate ids are its own dense ids), so a serving
+/// base carries it into the `Send + Sync` tier unchanged, and a snapshot
+/// persists the four buffers verbatim.
+pub struct Ac {
     /// One kind byte per gate ([`K_ZERO`]…[`K_MUL`]).
     pub(crate) kinds: Vec<u8>,
     /// Per gate: leaf `(var, positive)`, or child range `(start, end)`.
@@ -75,23 +64,26 @@ pub(crate) struct Ac {
     /// Flattened child lists; each `⊕`/`⊗` gate owns one contiguous range.
     pub(crate) children: Vec<AcId>,
     pub(crate) root: AcId,
-    /// Per dense variable (the vtree's variable order): the shared
-    /// `(¬v, v)` leaf ids.
+    /// Per dense variable: the shared `(¬v, v)` leaf ids.
     pub(crate) leaves: Vec<(AcId, AcId)>,
 }
 
 /// Transient state while unfolding the SDD (see [`Ac::build`]).
 struct Builder<'m> {
-    mgr: &'m SddManager,
+    sdd: &'m FrozenSdd,
     kinds: Vec<u8>,
     meta: Vec<(u32, u32)>,
     children: Vec<AcId>,
     /// Per vtree node: the shared smoothing subcircuit `⊗ (w⁻ ⊕ w⁺)`.
     gapc: Vec<AcId>,
-    /// Per decision node: its unsmoothed `⊕ (prime ⊗ sub)` gate.
-    rawc: FxHashMap<SddId, AcId>,
+    /// Per store node (indexed by [`SddId`]): a decision's unsmoothed
+    /// `⊕ (prime ⊗ sub)` gate, once unfolded.
+    rawc: Vec<AcId>,
     var_index: FxHashMap<VarId, u32>,
     leaves: Vec<(AcId, AcId)>,
+    /// The factor list [`Builder::smoothed`] assembles, kept across calls
+    /// so the unfold does not allocate one per element.
+    factors: Vec<AcId>,
 }
 
 impl<'m> Builder<'m> {
@@ -112,7 +104,7 @@ impl<'m> Builder<'m> {
 
     /// AC gate computing `a`'s value over the scope of vtree node `scope`.
     fn scoped(&mut self, a: SddId, scope: VtreeNodeId) -> AcId {
-        match self.mgr.node(a) {
+        match self.sdd.node(a) {
             SddNode::False => 0,
             SddNode::True => self.gapc[scope.index()],
             SddNode::Literal { var, positive } => {
@@ -122,11 +114,11 @@ impl<'m> Builder<'m> {
                 } else {
                     self.leaves[vi].0
                 };
-                let target = self.mgr.vtree().leaf_of_var(*var).expect("var in vtree");
+                let target = self.sdd.vtree().leaf_of_var(*var).expect("var in vtree");
                 self.smoothed(leaf, scope, target)
             }
             SddNode::Decision { vnode, .. } => {
-                let (vnode, raw) = (*vnode, self.rawc[&a]);
+                let (vnode, raw) = (*vnode, self.rawc[a.index()]);
                 self.smoothed(raw, scope, vnode)
             }
         }
@@ -135,39 +127,45 @@ impl<'m> Builder<'m> {
     /// Multiply `base` by the smoothing gaps of every subtree branched away
     /// from on the vtree walk `scope → target` ([`vtree::Vtree::gap_subtrees`]).
     fn smoothed(&mut self, base: AcId, scope: VtreeNodeId, target: VtreeNodeId) -> AcId {
-        let mut factors = vec![base];
+        let mut factors = std::mem::take(&mut self.factors);
+        factors.clear();
+        factors.push(base);
         let gapc = &self.gapc;
-        self.mgr
+        self.sdd
             .vtree()
             .gap_subtrees(scope, target, |t| factors.push(gapc[t.index()]));
-        if factors.len() == 1 {
+        let id = if factors.len() == 1 {
             base
         } else {
             self.push_gate(K_MUL, &factors)
-        }
+        };
+        self.factors = factors;
+        id
     }
 }
 
 impl Ac {
     /// Unfold the SDD rooted at `root` into its smoothed arithmetic
-    /// circuit. Runs once per knowledge base; every query afterwards is a
-    /// sweep (or two) over the result.
-    pub fn build(mgr: &SddManager, root: SddId) -> Ac {
-        let vt = mgr.vtree();
+    /// circuit over all of the store's vtree variables. A serving base
+    /// runs this once; every query afterwards is a sweep (or two) over the
+    /// result.
+    pub fn build(sdd: &FrozenSdd, root: SddId) -> Ac {
+        let vt = sdd.vtree();
         let vars = vt.vars();
         let mut b = Builder {
-            mgr,
+            sdd,
             kinds: vec![K_ZERO],
             meta: vec![(0, 0)],
             children: Vec::new(),
             gapc: vec![0; vt.num_nodes()],
-            rawc: FxHashMap::default(),
+            rawc: vec![0; sdd.num_allocated()],
             var_index: vars
                 .iter()
                 .enumerate()
                 .map(|(i, &v)| (v, i as u32))
                 .collect(),
             leaves: Vec::with_capacity(vars.len()),
+            factors: Vec::new(),
         };
         // Shared literal leaves, one pair per variable.
         for i in 0..vars.len() as u32 {
@@ -191,17 +189,17 @@ impl Ac {
         }
         // Decision nodes in ascending id order — the manager creates
         // children before parents, so this is a topological order.
-        let mut decisions = mgr.reachable_decisions(root);
+        let mut decisions = sdd.reachable_decisions(root);
         decisions.sort_unstable();
         for d in decisions {
-            let SddNode::Decision { vnode, .. } = mgr.node(d) else {
+            let SddNode::Decision { vnode, .. } = sdd.node(d) else {
                 unreachable!("reachable_decisions returns decisions");
             };
             let vnode = *vnode;
             let (lv, rv) = vt.children(vnode).expect("internal vnode");
-            // The element slice is borrowed straight from the manager's
+            // The element slice is borrowed straight from the store's
             // arena — the unfold never clones element lists.
-            let parts: Vec<AcId> = mgr
+            let parts: Vec<AcId> = sdd
                 .elements_of(d)
                 .iter()
                 .map(|&(p, s)| {
@@ -211,7 +209,7 @@ impl Ac {
                 })
                 .collect();
             let raw = b.push_gate(K_ADD, &parts);
-            b.rawc.insert(d, raw);
+            b.rawc[d.index()] = raw;
         }
         let root_ac = b.scoped(root, vt.root());
         Ac {
@@ -226,6 +224,11 @@ impl Ac {
     /// Gates in the unfolded circuit.
     pub fn size(&self) -> usize {
         self.kinds.len()
+    }
+
+    /// The root gate: its column of a value table is the circuit's value.
+    pub fn root(&self) -> usize {
+        self.root as usize
     }
 
     /// Estimated resident bytes of the circuit's buffers.
@@ -249,21 +252,25 @@ impl Ac {
         }
     }
 
-    /// Upward pass over `lanes` weight rows at once — the circuit's only
-    /// evaluator; a scalar query is the one-lane case. `weights` holds lane
-    /// columns at `var * lanes + l`; the returned value table holds gate
-    /// columns at `gate * lanes + l`. Each lane runs the scalar op sequence
-    /// of its own weights, children folded left to right, so a lane's
-    /// values do not depend on the batch width or on its neighbours. A
-    /// gate copies its first child column instead of folding it into the
-    /// identity (`add(zero, c₀)`, `mul(one, c₀)`), which is exact for every
-    /// carrier this crate sweeps (`lse(-∞, x) = x`, `max(-∞, x) = x` and
-    /// `0 + x = x` bit-for-bit, and exactly in `Nat`) and saves one
-    /// ⊕-kernel per gate. The gate dispatch (kind match, CSR range walk,
-    /// bounds checks) is paid once per gate, not once per gate per lane.
-    /// The table is written into `vals`, which is cleared first and keeps
-    /// its allocation, so a caller that sweeps repeatedly can hold one
-    /// table for all its sweeps instead of allocating one per sweep.
+    /// Upward pass over `lanes` weight rows at once — the workspace's only
+    /// evaluator; a scalar evaluation is the one-lane case. `weights`
+    /// holds lane columns at `var * lanes + l`; the value table is written
+    /// into `vals` with gate columns at `gate * lanes + l`. Each lane runs
+    /// the scalar op sequence of its own weights, children folded left to
+    /// right, so a lane's values do not depend on the batch width. A gate
+    /// starts from its first child column instead of folding it into the
+    /// identity, which is exact for every carrier (`lse(-∞, x) = x`,
+    /// `max(-∞, x) = x`, `0 + x = x`) and saves one ⊕-kernel per gate. The
+    /// gate dispatch is paid once per gate, not once per lane. `vals` is
+    /// cleared first and keeps its allocation across sweeps.
+    ///
+    /// For a carrier whose values own heap memory (`needs_drop`: `Nat`,
+    /// `Rat`) only the root column is promised: a column goes to its last
+    /// reader by move, and every other read column is reset to zero once
+    /// its last parent has read it, so the sweep holds the live frontier
+    /// of big numbers rather than one per gate. For the `f64` carriers the
+    /// check is a compile-time `false` and the whole table stays; the
+    /// readers of the full table take only `Copy` values.
     pub fn eval_lanes<S: LaneSemiring>(
         &self,
         s: &S,
@@ -274,10 +281,21 @@ impl Ac {
         let n = self.kinds.len();
         vals.clear();
         vals.reserve_exact(n * lanes);
+        let release = std::mem::needs_drop::<S::Elem>();
+        // Readers left per gate; the root's count never reaches zero.
+        let mut readers: Vec<u32> = Vec::new();
+        if release {
+            readers.resize(n, 0);
+            for &c in &self.children {
+                readers[c as usize] += 1;
+            }
+            readers[self.root as usize] = u32::MAX;
+        }
         for id in 0..n {
             let (a, b) = self.meta[id];
             let start = vals.len();
-            match self.kinds[id] {
+            let kind = self.kinds[id];
+            match kind {
                 K_ZERO => vals.resize(start + lanes, s.zero()),
                 K_LEAF => {
                     let base = a as usize * lanes;
@@ -287,32 +305,41 @@ impl Ac {
                         vals.extend(weights[base..base + lanes].iter().map(|w| w.0.clone()));
                     }
                 }
-                K_ADD => {
-                    let ch = &self.children[a as usize..b as usize];
-                    match ch.split_first() {
-                        None => vals.resize(start + lanes, s.zero()),
-                        Some((&c0, rest)) => {
-                            let c0b = c0 as usize * lanes;
-                            vals.extend_from_within(c0b..c0b + lanes);
-                            let (below, col) = vals.split_at_mut(start);
-                            for &c in rest {
-                                let cb = c as usize * lanes;
-                                s.add_assign_lanes(col, &below[cb..cb + lanes]);
-                            }
-                        }
-                    }
-                }
                 _ => {
                     let ch = &self.children[a as usize..b as usize];
-                    match ch.split_first() {
-                        None => vals.resize(start + lanes, s.one()),
-                        Some((&c0, rest)) => {
-                            let c0b = c0 as usize * lanes;
-                            vals.extend_from_within(c0b..c0b + lanes);
-                            let (below, col) = vals.split_at_mut(start);
-                            for &c in rest {
+                    let Some((&c0, rest)) = ch.split_first() else {
+                        let unit = if kind == K_ADD { s.zero() } else { s.one() };
+                        vals.resize(start + lanes, unit);
+                        continue;
+                    };
+                    let c0b = c0 as usize * lanes;
+                    if release && readers[c0 as usize] == 1 {
+                        for i in c0b..c0b + lanes {
+                            let v = std::mem::replace(&mut vals[i], s.zero());
+                            vals.push(v);
+                        }
+                    } else {
+                        vals.extend_from_within(c0b..c0b + lanes);
+                    }
+                    let (below, col) = vals.split_at_mut(start);
+                    if kind == K_ADD {
+                        for &c in rest {
+                            let cb = c as usize * lanes;
+                            s.add_assign_lanes(col, &below[cb..cb + lanes]);
+                        }
+                    } else {
+                        for &c in rest {
+                            let cb = c as usize * lanes;
+                            s.mul_assign_lanes(col, &below[cb..cb + lanes]);
+                        }
+                    }
+                    if release {
+                        for &c in ch {
+                            let left = &mut readers[c as usize];
+                            *left -= 1;
+                            if *left == 0 {
                                 let cb = c as usize * lanes;
-                                s.mul_assign_lanes(col, &below[cb..cb + lanes]);
+                                s.zero_fill(&mut below[cb..cb + lanes]);
                             }
                         }
                     }
@@ -331,13 +358,17 @@ impl Ac {
     /// ⊕-folded into it, which is exact (`lse(-∞, x) = x` bit-for-bit) and
     /// removes one full ⊕-kernel per gate; on chain-shaped circuits, where
     /// almost every gate has exactly one parent, that is nearly the whole
-    /// downward ⊕ cost.
+    /// downward ⊕ cost. It reads every column of the table, so it takes
+    /// only `Copy` carriers, whose upward sweep keeps the whole table.
     pub fn backprop_lanes<S: LaneSemiring>(
         &self,
         s: &S,
         lanes: usize,
         vals: &[S::Elem],
-    ) -> Vec<S::Elem> {
+    ) -> Vec<S::Elem>
+    where
+        S::Elem: Copy,
+    {
         let n = self.kinds.len();
         let mut dr: Vec<S::Elem> = vec![s.zero(); n * lanes];
         let rb = self.root as usize * lanes;
@@ -364,7 +395,7 @@ impl Ac {
                         if seen[c as usize] {
                             s.add_assign_lanes(&mut below[cb..cb + lanes], d);
                         } else {
-                            below[cb..cb + lanes].clone_from_slice(d);
+                            below[cb..cb + lanes].copy_from_slice(d);
                             seen[c as usize] = true;
                         }
                     }
@@ -385,7 +416,7 @@ impl Ac {
                             if seen[c] {
                                 s.add_assign_lanes(&mut below[cb..cb + lanes], d);
                             } else {
-                                below[cb..cb + lanes].clone_from_slice(d);
+                                below[cb..cb + lanes].copy_from_slice(d);
                                 seen[c] = true;
                             }
                         }
@@ -462,7 +493,10 @@ impl Ac {
         lanes: usize,
         weights: &[(S::Elem, S::Elem)],
         vals: &mut Vec<S::Elem>,
-    ) -> (Vec<S::Elem>, Vec<(S::Elem, S::Elem)>) {
+    ) -> (Vec<S::Elem>, Vec<(S::Elem, S::Elem)>)
+    where
+        S::Elem: Copy,
+    {
         self.eval_lanes(s, lanes, weights, vals);
         let dr = self.backprop_lanes(s, lanes, vals);
         let mut pairs = Vec::with_capacity(self.leaves.len() * lanes);
@@ -661,5 +695,87 @@ impl Ac {
                 (w, assignment)
             })
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::SddManager;
+    use arith::{BigUint, LogF64, Nat};
+    use vtree::Vtree;
+
+    /// The unfolded circuit of `chain_cnf(n)` over a right-linear vtree.
+    fn chain(n: u32) -> Ac {
+        let vars: Vec<VarId> = (0..n).map(VarId).collect();
+        let mut m = SddManager::new(Vtree::right_linear(&vars).unwrap());
+        let r = m.from_circuit(&cnf::families::chain_cnf(n).to_circuit());
+        Ac::build(&m, r)
+    }
+
+    /// Gates some other gate reads.
+    fn has_parent(ac: &Ac) -> Vec<bool> {
+        let mut read = vec![false; ac.size()];
+        for &c in &ac.children {
+            read[c as usize] = true;
+        }
+        read
+    }
+
+    #[test]
+    fn exact_sweeps_keep_the_root_and_release_every_read_column() {
+        let n = 40;
+        let ac = chain(n);
+        let read = has_parent(&ac);
+        for lanes in [1usize, 3] {
+            let weights = vec![(BigUint::one(), BigUint::one()); n as usize * lanes];
+            let mut vals = Vec::new();
+            ac.eval_lanes(&Nat, lanes, &weights, &mut vals);
+            assert_eq!(vals.len(), ac.size() * lanes);
+            let rb = ac.root() * lanes;
+            for l in 0..lanes {
+                assert_eq!(vals[rb + l], cnf::families::chain_count(n));
+            }
+            for g in (0..ac.size()).filter(|&g| g != ac.root() && read[g]) {
+                for l in 0..lanes {
+                    assert!(
+                        vals[g * lanes + l].is_zero(),
+                        "gate {g} lane {l} outlived its last reader"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn f64_sweeps_keep_every_column() {
+        let ac = chain(40);
+        let weights = vec![(0.25f64.ln(), 0.75f64.ln()); 40];
+        let mut vals = Vec::new();
+        ac.eval_lanes(&LogF64, 1, &weights, &mut vals);
+        // Every gate's column is still its own function of its children's.
+        for g in 0..ac.size() {
+            let want = match ac.kinds[g] {
+                K_ZERO => f64::NEG_INFINITY,
+                K_LEAF => {
+                    let (v, pos) = ac.meta[g];
+                    let (wn, wp) = weights[v as usize];
+                    if pos == 1 {
+                        wp
+                    } else {
+                        wn
+                    }
+                }
+                K_ADD => ac.ch(g).iter().fold(f64::NEG_INFINITY, |acc, &c| {
+                    arith::log_sum_exp(acc, vals[c as usize])
+                }),
+                _ => ac.ch(g).iter().map(|&c| vals[c as usize]).sum(),
+            };
+            let got = vals[g];
+            assert!(
+                got == want || (got - want).abs() <= 1e-12 * want.abs().max(1.0),
+                "gate {g}: {got} vs {want}"
+            );
+        }
     }
 }

@@ -1,18 +1,12 @@
-//! The generic bottom-up evaluation engine.
+//! One-shot evaluation of a compiled root, and the incremental cache.
 //!
-//! An SDD is deterministic (primes are pairwise disjoint, so ∨ is a disjoint
-//! union of models) and decomposable (primes and subs have disjoint scopes,
-//! so ∧ is a cartesian product). That makes *every* counting query one and
-//! the same traversal over a commutative semiring: `⊥ ↦ 0`, `⊤ ↦ 1`, a
-//! literal ↦ its weight, a decision ↦ `⊕ᵢ (Pᵢ ⊗ Sᵢ)` — plus **gap
-//! smoothing**: a variable of the enclosing vtree scope that a node does not
-//! mention contributes the factor `w(¬v) ⊕ w(v)`.
-//!
-//! [`FrozenSdd::evaluate`] implements that engine once, division-free
-//! (smoothing factors come from walking the vtree, never from dividing them
-//! back out, so it works in any semiring). The former `count_models` /
-//! `weighted_count` / `probability` triplet of near-duplicate traversals are
-//! now instantiations:
+//! An SDD is deterministic and decomposable, so every counting query is one
+//! bottom-up pass over a commutative semiring once the diagram is smoothed.
+//! The workspace has **one** such pass: [`Ac::eval_lanes`] over the
+//! unfolded, smoothed circuit of [`crate::ac`]. [`FrozenSdd::evaluate`] is
+//! that circuit's one-shot form — [`Ac::build`], then one one-lane sweep —
+//! and the former `count_models` / `weighted_count` / `probability`
+//! triplet of traversals are its instantiations:
 //!
 //! * [`FrozenSdd::count_models_exact`] — `arith::Nat` (`BigUint`): exact
 //!   #SAT, no overflow at any size;
@@ -21,68 +15,53 @@
 //! * [`FrozenSdd::weighted_count`] / [`FrozenSdd::probability`] —
 //!   `arith::F64`: the fast approximate path.
 //!
-//! [`EvalCache`] is the incremental form of the same engine — per-node
-//! values carry **epoch stamps**, each vtree node remembers the last epoch
-//! a weight below it changed, and a re-evaluation recomputes exactly the
-//! *dirty cone* (the vtree ancestors of the changed leaves and the SDD
-//! nodes structured by them), answering everything else from cache.
-//! Serving sessions (`kb::KbSession`) do not use it: they sweep the
-//! unfolded arithmetic circuit instead. It remains for the repo
-//! benchmark's traced dirty-cone measurement.
+//! The exact carriers keep only the live frontier of big numbers during
+//! the sweep (see [`Ac::eval_lanes`]), so a one-shot count holds about as
+//! many values as the implicit SDD walk it replaced.
+//!
+//! [`EvalCache`] is an incremental evaluator over the SDD itself —
+//! per-node values carry **epoch stamps**, each vtree node remembers the
+//! last epoch a weight below it changed, and a re-evaluation recomputes
+//! exactly the *dirty cone* (the vtree ancestors of the changed leaves and
+//! the SDD nodes structured by them), answering everything else from
+//! cache. Serving sessions (`kb::KbSession`) do not use it: they sweep the
+//! unfolded circuit instead. It stays only for the repo benchmark's traced
+//! dirty-cone measurement, and its tests check it against the circuit.
 
+use crate::ac::Ac;
 use crate::{FrozenSdd, SddId, SddNode};
-use arith::{BigUint, Nat, Rat, Rational, Semiring, F64};
+use arith::{BigUint, LaneSemiring, Nat, Rat, Rational, Semiring, F64};
 use vtree::fxhash::FxHashMap;
 use vtree::{VarId, VtreeNodeId};
 
 impl FrozenSdd {
-    /// Evaluate `root` over all vtree variables in an arbitrary commutative
-    /// semiring. `weight(v, polarity)` is the weight of the literal `v` /
-    /// `¬v`; variables absent from a subfunction contribute
+    /// Evaluate `root` over all vtree variables in a commutative semiring.
+    /// `weight(v, polarity)` is the weight of the literal `v` / `¬v`;
+    /// variables absent from a subfunction contribute
     /// `weight(v, false) ⊕ weight(v, true)` (smoothing).
     ///
     /// Counting is `evaluate(root, &Nat, |_, _| BigUint::one())`; weighted
-    /// counting plugs in the literal weights. The traversal is memoized per
-    /// node, so it is linear in the SDD size (times the cost of semiring
-    /// operations and vtree-path walks).
-    pub fn evaluate<S: Semiring>(
+    /// counting plugs in the literal weights. The root is unfolded into its
+    /// circuit ([`Ac::build`]) and swept once at one lane, so the cost is
+    /// linear in the SDD size plus the vtree, times the cost of the
+    /// semiring operations. A caller that evaluates one root many times
+    /// should build the circuit once and sweep it itself.
+    pub fn evaluate<S: LaneSemiring>(
         &self,
         root: SddId,
         semiring: &S,
         weight: impl Fn(VarId, bool) -> S::Elem,
     ) -> S::Elem {
-        let vtree = self.vtree();
-        // Literal weights per variable.
-        let mut wmap: FxHashMap<VarId, (S::Elem, S::Elem)> = FxHashMap::default();
-        for &v in vtree.vars() {
-            wmap.insert(v, (weight(v, false), weight(v, true)));
-        }
-        // gap[t] = ⊗_{v below t} (w⁻(v) ⊕ w⁺(v)), bottom-up over the vtree.
-        let mut gap: Vec<Option<S::Elem>> = vec![None; vtree.num_nodes()];
-        for n in vtree.bottom_up_order() {
-            let g = match vtree.children(n) {
-                None => {
-                    let v = vtree.leaf_var(n).expect("leaf");
-                    let (wn, wp) = &wmap[&v];
-                    semiring.add(wn, wp)
-                }
-                Some((l, r)) => semiring.mul(
-                    gap[l.index()].as_ref().expect("child gap computed"),
-                    gap[r.index()].as_ref().expect("child gap computed"),
-                ),
-            };
-            gap[n.index()] = Some(g);
-        }
-        let gap: Vec<S::Elem> = gap.into_iter().map(|g| g.expect("all nodes")).collect();
-
-        let mut ev = Evaluator {
-            mgr: self,
-            semiring,
-            wmap,
-            gap,
-            raw: FxHashMap::default(),
-        };
-        ev.run(root)
+        let ac = Ac::build(self, root);
+        let weights: Vec<(S::Elem, S::Elem)> = self
+            .vtree()
+            .vars()
+            .iter()
+            .map(|&v| (weight(v, false), weight(v, true)))
+            .collect();
+        let mut vals = Vec::new();
+        ac.eval_lanes(semiring, 1, &weights, &mut vals);
+        vals.swap_remove(ac.root())
     }
 
     /// Exact model count over all vtree variables — the `BigUint` semiring,
@@ -160,83 +139,6 @@ impl FrozenSdd {
     }
 }
 
-/// One evaluation pass: semiring, literal weights, per-vtree-node smoothing
-/// products, and the per-node raw-value table.
-struct Evaluator<'a, S: Semiring> {
-    mgr: &'a FrozenSdd,
-    semiring: &'a S,
-    wmap: FxHashMap<VarId, (S::Elem, S::Elem)>,
-    gap: Vec<S::Elem>,
-    raw: FxHashMap<SddId, S::Elem>,
-}
-
-impl<S: Semiring> Evaluator<'_, S> {
-    /// One bottom-up sweep over the reachable decisions in interning order
-    /// (children are always interned before their parents, so ascending
-    /// [`SddId`] is a topological order), then the root read-off. Each
-    /// decision's raw value is computed exactly once, as with the former
-    /// recursive memoization, but the sweep's depth is constant — the
-    /// recursion descended to vtree depth, Θ(n) on chains.
-    fn run(&mut self, root: SddId) -> S::Elem {
-        let mut decisions = self.mgr.reachable_decisions(root);
-        decisions.sort_unstable();
-        // Copy out the reference so the element slices (borrowed from the
-        // arena, never cloned) don't pin `self` while `raw` is written.
-        let mgr = self.mgr;
-        for a in decisions {
-            let SddNode::Decision { vnode, .. } = mgr.node(a) else {
-                unreachable!("reachable_decisions returns decisions");
-            };
-            let vnode = *vnode;
-            let (lv, rv) = mgr.vtree().children(vnode).expect("internal vnode");
-            let mut total = self.semiring.zero();
-            for &(p, s) in mgr.elements_of(a) {
-                let pc = self.scoped(p, lv);
-                let sc = self.scoped(s, rv);
-                total = self.semiring.add(&total, &self.semiring.mul(&pc, &sc));
-            }
-            self.raw.insert(a, total);
-        }
-        self.scoped(root, self.mgr.vtree().root())
-    }
-
-    /// Value of `a` over the scope of vtree node `scope` (⊇ `a`'s own
-    /// scope) — a pure lookup (terminal, literal weight, or the
-    /// already-swept raw value) times the smoothing factor.
-    fn scoped(&self, a: SddId, scope: VtreeNodeId) -> S::Elem {
-        match self.mgr.node(a) {
-            SddNode::False => self.semiring.zero(),
-            SddNode::True => self.gap[scope.index()].clone(),
-            SddNode::Literal { var, positive } => {
-                let (wn, wp) = &self.wmap[var];
-                let lit = if *positive { wp.clone() } else { wn.clone() };
-                let leaf = self.mgr.vtree().leaf_of_var(*var).expect("var in vtree");
-                let smooth = self.smoothing(scope, leaf);
-                self.semiring.mul(&lit, &smooth)
-            }
-            SddNode::Decision { vnode, .. } => {
-                let raw = &self.raw[&a];
-                let smooth = self.smoothing(scope, *vnode);
-                self.semiring.mul(raw, &smooth)
-            }
-        }
-    }
-
-    /// `⊗ (w⁻ ⊕ w⁺)` over the variables below `scope` but not below
-    /// `target`: the vtree's [`Vtree::gap_subtrees`] walk, multiplying
-    /// the gap of every subtree branched away from. Division-free, so it
-    /// is valid in any semiring (the old `f64` engine divided smoothing
-    /// products back out, which has no rational/BigUint analogue at zero
-    /// weights).
-    fn smoothing(&self, scope: VtreeNodeId, target: VtreeNodeId) -> S::Elem {
-        let mut acc = self.semiring.one();
-        self.mgr.vtree().gap_subtrees(scope, target, |t| {
-            acc = self.semiring.mul(&acc, &self.gap[t.index()]);
-        });
-        acc
-    }
-}
-
 /// What a suspended [`RawFrame`] is waiting for.
 enum RawWait<E> {
     /// Just pushed, or between elements.
@@ -311,9 +213,10 @@ impl EvalCacheStats {
     }
 }
 
-/// An **epoch-tagged incremental evaluator**: the semiring engine of
-/// [`FrozenSdd::evaluate`], restructured so repeated evaluations under
-/// changing literal weights only redo the work the changes invalidated.
+/// An **epoch-tagged incremental evaluator** over the SDD itself, so
+/// repeated evaluations under changing literal weights only redo the work
+/// the changes invalidated. It computes what [`FrozenSdd::evaluate`] does,
+/// with smoothing done on each visit instead of by an unfolded circuit.
 ///
 /// Every weight update bumps a global epoch and stamps it onto the vtree
 /// path from the variable's leaf to the root (`vnode_epoch`). A cached
@@ -567,8 +470,8 @@ impl<S: Semiring> EvalCache<S> {
     }
 
     /// `⊗ (w⁻ ⊕ w⁺)` over the variables below `scope` but not below
-    /// `target` — the division-free smoothing walk of the one-shot engine,
-    /// reading the stamped gap table.
+    /// `target` ([`vtree::Vtree::gap_subtrees`]), reading the stamped gap
+    /// table. Division-free, so it is valid in any semiring.
     fn smoothing(&self, mgr: &FrozenSdd, scope: VtreeNodeId, target: VtreeNodeId) -> S::Elem {
         let mut acc = self.semiring.one();
         mgr.vtree().gap_subtrees(scope, target, |t| {

@@ -12,12 +12,15 @@
 //! table and the element arena. Every read-only query lives there once —
 //! node access, reachability, [`FrozenSdd::size`], the paper's **SDD
 //! width** ([`FrozenSdd::width`], Definition 5: max ∧-gates structured by
-//! a single vtree node), assignment checks, validation, and a generic
-//! semiring evaluation engine ([`FrozenSdd::evaluate`], module [`eval`])
-//! with vtree-gap smoothing, instantiated at `BigUint` (exact #SAT,
+//! a single vtree node), assignment checks, validation, and one-shot
+//! semiring evaluation ([`FrozenSdd::evaluate`], module [`eval`]),
+//! instantiated at `BigUint` (exact #SAT,
 //! [`FrozenSdd::count_models_exact`]), `Rational` (exact WMC,
 //! [`FrozenSdd::weighted_count_exact`]) and `f64`
-//! ([`FrozenSdd::weighted_count`], [`FrozenSdd::probability`]).
+//! ([`FrozenSdd::weighted_count`], [`FrozenSdd::probability`]). Evaluation
+//! has one engine: a root is unfolded into its smoothed arithmetic circuit
+//! ([`ac::Ac`], module [`ac`]) and swept bottom-up; serving sessions sweep
+//! the same circuit.
 //!
 //! An [`SddManager`] owns the store it grows plus the compile-time
 //! machinery, and reaches every read through `Deref<Target = FrozenSdd>`.
@@ -58,8 +61,8 @@
 //! speed, and anything deeper spills to the explicit worklist (`Engine`,
 //! heap-allocated frames), which finishes with constant stack depth. Both
 //! paths consult and fill the same memo tables in the same order, so they
-//! construct identical nodes. Evaluation sweeps reachable decisions
-//! bottom-up in interning order. Vtree-deep diagrams — Θ(n) deep on the
+//! construct identical nodes. The circuit unfold walks reachable decisions
+//! in interning order, and its sweeps are indexed passes over the gates. Vtree-deep diagrams — Θ(n) deep on the
 //! chain families — therefore work on a default-size thread stack at any
 //! variable count.
 //!
@@ -71,6 +74,7 @@
 //! apply, and serving sessions (`kb::KbSession`) answer from the
 //! arithmetic circuit unfolded from it, not from the store.
 
+pub mod ac;
 pub mod eval;
 pub mod frozen;
 pub mod snapshot;

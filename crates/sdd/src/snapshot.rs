@@ -11,6 +11,17 @@
 //! | 2   | nodes   | `(tag, x, y, z)` per node — `0`⊥ `1`⊤ `2`literal(`var, positive`) `3`decision(`vnode, start, end`) |
 //! | 3   | arena   | raw `(prime, sub)` id pairs |
 //!
+//! An unfolded circuit ([`Ac`]) contributes four more sections, which the
+//! KB container writes after its own: [`Ac::write_sections`] /
+//! [`Ac::read_sections`].
+//!
+//! | tag | section | payload |
+//! |-----|---------|---------|
+//! | 21  | acmeta  | circuit root, then per var the shared `(¬v, v)` leaf ids |
+//! | 22  | ackinds | one kind byte per gate |
+//! | 23  | acgmeta | per gate: leaf `(var, positive)` or child range `(start, end)` |
+//! | 24  | acchild | the flat child array |
+//!
 //! Tag 4 is retired: earlier writers added the manager's negation memo
 //! there. Nothing reads it, and the loader skips it like any section it
 //! does not take, so those files still load; no new section may reuse the
@@ -30,8 +41,9 @@
 //! Everything else is a typed [`SnapError`] — never a panic, never an
 //! out-of-bounds index.
 
+use crate::ac::{Ac, AcId, K_ADD, K_LEAF, K_MUL, K_ZERO};
 use crate::{next_uid, FrozenSdd, SddId, SddNode};
-use snap::{bytes_to_u32s, put_u32, Dec, Reader, SnapError, Writer, KIND_SDD};
+use snap::{bytes_to_u32_pairs, bytes_to_u32s, put_u32, Dec, Reader, SnapError, Writer, KIND_SDD};
 use std::io::{BufRead, Write};
 use std::sync::Arc;
 use vtree::fxhash::FxHashSet;
@@ -47,6 +59,18 @@ pub const TAG_ARENA: u32 = 3;
 /// Sections a store contributes to a container (the KB container embeds
 /// these plus its own).
 pub const SDD_SECTIONS: u32 = 3;
+
+/// Section tag: circuit root and literal-leaf ids.
+pub const TAG_ACMETA: u32 = 21;
+/// Section tag: circuit gate kinds.
+pub const TAG_ACKINDS: u32 = 22;
+/// Section tag: circuit gate metadata.
+pub const TAG_ACGMETA: u32 = 23;
+/// Section tag: the flat circuit child array.
+pub const TAG_ACCHILD: u32 = 24;
+
+/// Sections an unfolded circuit contributes to a container.
+pub const AC_SECTIONS: u32 = 4;
 
 /// Node-record tags inside [`TAG_NODES`].
 const NODE_FALSE: u32 = 0;
@@ -179,7 +203,7 @@ impl FrozenSdd {
 
         // Element arena next — decision validation needs its bounds.
         let arena: Vec<(SddId, SddId)> =
-            snap::bytes_to_u32_pairs(&r.take(TAG_ARENA)?, "arena section ragged")?
+            bytes_to_u32_pairs(&r.take(TAG_ARENA)?, "arena section ragged")?
                 .into_iter()
                 .map(|(p, s)| (SddId(p), SddId(s)))
                 .collect();
@@ -270,6 +294,121 @@ impl FrozenSdd {
             // Uids are process-unique, never durable: a loaded slab is a
             // new id space as far as external caches are concerned.
             uid: next_uid(),
+        })
+    }
+}
+
+impl Ac {
+    /// Append the circuit's four sections to an open container.
+    pub fn write_sections<W: Write>(&self, w: &mut Writer<W>) -> Result<(), SnapError> {
+        let mut buf = Vec::with_capacity(4 + self.leaves.len() * 8);
+        put_u32(&mut buf, self.root);
+        for &(n, p) in &self.leaves {
+            put_u32(&mut buf, n);
+            put_u32(&mut buf, p);
+        }
+        w.section(TAG_ACMETA, &buf)?;
+        w.section(TAG_ACKINDS, &self.kinds)?;
+        let mut buf = Vec::with_capacity(self.meta.len() * 8);
+        for &(a, b) in &self.meta {
+            put_u32(&mut buf, a);
+            put_u32(&mut buf, b);
+        }
+        w.section(TAG_ACGMETA, &buf)?;
+        let mut buf = Vec::with_capacity(self.children.len() * 4);
+        for &c in &self.children {
+            put_u32(&mut buf, c);
+        }
+        w.section(TAG_ACCHILD, &buf)
+    }
+
+    /// Read and validate the four circuit sections into a circuit over
+    /// `num_vars` dense variables: gates topologically ordered with
+    /// in-bounds child ranges, and leaves matching the dense variable
+    /// index. Anything else is a typed [`SnapError`].
+    pub fn read_sections(r: &mut Reader, num_vars: usize) -> Result<Ac, SnapError> {
+        let meta = r.take(TAG_ACMETA)?;
+        let mut d = Dec::new(&meta, "acmeta section");
+        let root = d.u32()?;
+        let leaves: Vec<(AcId, AcId)> = bytes_to_u32s(d.rest(), "acmeta section ragged")?
+            .chunks_exact(2)
+            .map(|c| (c[0], c[1]))
+            .collect();
+        if leaves.len() != num_vars {
+            return Err(SnapError::Invalid {
+                what: "ac leaf table length disagrees with the variable list",
+            });
+        }
+
+        let kinds = r.take(TAG_ACKINDS)?;
+        let gmeta = bytes_to_u32_pairs(&r.take(TAG_ACGMETA)?, "ac meta section ragged")?;
+        let children = bytes_to_u32s(&r.take(TAG_ACCHILD)?, "ac child section ragged")?;
+        if gmeta.len() != kinds.len() {
+            return Err(SnapError::Invalid {
+                what: "ac gate arrays disagree in length",
+            });
+        }
+        if root as usize >= kinds.len() {
+            return Err(SnapError::Invalid {
+                what: "ac root out of bounds",
+            });
+        }
+        for (id, (&kind, &(a, b))) in kinds.iter().zip(gmeta.iter()).enumerate() {
+            match kind {
+                K_ZERO => {}
+                K_LEAF => {
+                    if a as usize >= num_vars || b > 1 {
+                        return Err(SnapError::Invalid {
+                            what: "ac leaf gate out of bounds",
+                        });
+                    }
+                }
+                K_ADD | K_MUL => {
+                    if a > b || b as usize > children.len() {
+                        return Err(SnapError::Invalid {
+                            what: "ac child range out of bounds",
+                        });
+                    }
+                    // Topological order: children strictly below their
+                    // gate — the sweeps index forward/backward on that
+                    // guarantee.
+                    if children[a as usize..b as usize]
+                        .iter()
+                        .any(|&c| c as usize >= id)
+                    {
+                        return Err(SnapError::Invalid {
+                            what: "ac child not below its gate",
+                        });
+                    }
+                }
+                _ => {
+                    return Err(SnapError::Invalid {
+                        what: "unknown ac gate kind",
+                    })
+                }
+            }
+        }
+        // The shared leaf pairs must be the dense variable index's own
+        // gates — marginals multiply dr[leaf] by the variable's weight on
+        // that basis.
+        for (i, &(n, p)) in leaves.iter().enumerate() {
+            let ok = |id: AcId, positive: u32| {
+                (id as usize) < kinds.len()
+                    && kinds[id as usize] == K_LEAF
+                    && gmeta[id as usize] == (i as u32, positive)
+            };
+            if !ok(n, 0) || !ok(p, 1) {
+                return Err(SnapError::Invalid {
+                    what: "ac leaf table does not match its gates",
+                });
+            }
+        }
+        Ok(Ac {
+            kinds,
+            meta: gmeta,
+            children,
+            root,
+            leaves,
         })
     }
 }

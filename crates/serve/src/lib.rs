@@ -499,6 +499,19 @@ impl ShardBooks {
             batch_depth: registry.histogram("serve_batch_depth", &label),
         }
     }
+
+    /// Record a request's queue wait, submit → dequeue, at the moment the
+    /// worker (or the batch window) takes it off the queue. A windowed
+    /// job's wait for its group to close is the window's, not the queue's.
+    fn dequeued(&self, job: &Job) {
+        let submitted = match job {
+            Job::Run(p) => p.submitted,
+            Job::RunBatch(p) => p.submitted,
+            Job::Barrier(_) | Job::Shutdown => return,
+        };
+        self.queue_wait_us
+            .add(submitted.elapsed().as_micros() as u64);
+    }
 }
 
 /// One shard-owned session slot, with what the coalescer needs to prove
@@ -592,6 +605,7 @@ fn gather(
                 }
             }
         };
+        books.dequeued(&next);
         match next {
             Job::Run(p) if coalescible_with(slots, &group[0], &p) => group.push(p),
             other => break Some(other),
@@ -610,9 +624,6 @@ fn gather(
 /// call pays the sweep, the rest answer from the memo (bit-identical
 /// either way — the table does not depend on which replica computes it).
 fn answer_group(slots: &mut [ShardSlot], books: &ShardBooks, group: Vec<Pending<Command>>) {
-    let now = Instant::now();
-    let waited: Duration = group.iter().map(|p| now - p.submitted).sum();
-    books.queue_wait_us.add(waited.as_micros() as u64);
     let slot = slot_of(slots, group[0].kb);
     books.requests.add(group.len() as u64);
     books.coalesced.add(group.len() as u64 - 1);
@@ -706,10 +717,14 @@ impl KbServer {
                 // (possibly leading a group of its own).
                 let mut carried: Option<Job> = None;
                 loop {
+                    // A carried job was stamped when `gather` pulled it.
                     let job = match carried.take() {
                         Some(j) => j,
                         None => match rx.recv() {
-                            Ok(j) => j,
+                            Ok(j) => {
+                                books.dequeued(&j);
+                                j
+                            }
                             Err(_) => break, // every sender dropped
                         },
                     };
@@ -725,9 +740,6 @@ impl KbServer {
                             answer_group(&mut slots, &books, group);
                         }
                         Job::RunBatch(p) => {
-                            books
-                                .queue_wait_us
-                                .add(p.submitted.elapsed().as_micros() as u64);
                             let slot = slot_of(&mut slots, p.kb);
                             let setp = |c: &Command| matches!(c, Command::SetProbability(..));
                             slot.weights_diverged |= p.cmd.iter().any(setp);

@@ -583,3 +583,32 @@ fn shard_stats_and_the_scrape_read_the_same_books() {
     );
     server.shutdown();
 }
+
+/// A windowed job's queue wait ends when it leaves the queue, not when its
+/// group closes: a lone query on an idle window-on shard waits out the
+/// window in `window_wait`, and `queue_wait` (submit → dequeue) stays a
+/// small fraction of it instead of counting the window a second time.
+#[test]
+fn window_time_is_not_counted_as_queue_wait() {
+    let frozen = Arc::new(chain_kb(8).freeze());
+    let server = KbServer::with_batch_window(vec![frozen], 1, Duration::from_millis(150));
+    let mut client = server.client();
+    client
+        .submit(0, Command::Query(vec![(v(1), true)]))
+        .unwrap();
+    let answers = client.sync();
+    assert!(answers[0].1.starts_with("ok"), "{answers:?}");
+    let s = serve::ShardStats::merged(&client.stats());
+    assert_eq!(s.served, 1);
+    assert!(
+        s.window_wait >= Duration::from_millis(100),
+        "the lone query waits out the window: {s:?}"
+    );
+    assert!(
+        s.queue_wait < s.window_wait / 2,
+        "queue wait {:?} counts the window wait {:?}",
+        s.queue_wait,
+        s.window_wait
+    );
+    server.shutdown();
+}
