@@ -748,6 +748,18 @@ mod tests {
     }
 
     #[test]
+    fn exact_sweeps_keep_a_root_that_another_gate_reads() {
+        // The root literal's leaf also feeds its vtree leaf's smoothing gate.
+        let mut m = SddManager::new(Vtree::right_linear(&[VarId(0)]).unwrap());
+        let x = m.literal(VarId(0), true);
+        let ac = Ac::build(&m, x);
+        assert!(has_parent(&ac)[ac.root()]);
+        let mut vals = Vec::new();
+        ac.eval_lanes(&Nat, 1, &[(BigUint::one(), BigUint::one())], &mut vals);
+        assert_eq!(vals[ac.root()], BigUint::one());
+    }
+
+    #[test]
     fn f64_sweeps_keep_every_column() {
         let ac = chain(40);
         let weights = vec![(0.25f64.ln(), 0.75f64.ln()); 40];

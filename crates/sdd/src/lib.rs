@@ -62,9 +62,9 @@
 //! heap-allocated frames), which finishes with constant stack depth. Both
 //! paths consult and fill the same memo tables in the same order, so they
 //! construct identical nodes. The circuit unfold walks reachable decisions
-//! in interning order, and its sweeps are indexed passes over the gates. Vtree-deep diagrams — Θ(n) deep on the
-//! chain families — therefore work on a default-size thread stack at any
-//! variable count.
+//! in interning order, and its sweeps are indexed passes over the gates.
+//! Vtree-deep diagrams — Θ(n) deep on the chain families — therefore work
+//! on a default-size thread stack at any variable count.
 //!
 //! **Freeze-and-serve.** [`SddManager::freeze`] drops the compile-time
 //! tables and returns the store, its vectors shrunk to fit: node ids,
